@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,12 +30,21 @@ from .ingest import (
     synthetic_od_seed,
     taxi_preprocess,
 )
-from .metrics import DistanceReport, bootstrap_distances, build_distance_report, hellinger, pwkt
+from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, hellinger, pwkt
 from .privacy import PrivacyParams, ReleaseResult, privatize
 from .repair import FractionalRepairResult, RepairSpec, random_x_baseline, repair
 from .rng import derive_seed
 
-ORDERS = ("privacy-first", "bias-first", "repair-only", "privacy-only")
+# The stages each order runs, first to last.  An order fits a config exactly
+# when its stages are the ones the config sets up; with no order given, the
+# first order that fits is used.
+STAGES = {
+    "privacy-first": ("privacy", "repair"),
+    "bias-first": ("repair", "privacy"),
+    "repair-only": ("repair",),
+    "privacy-only": ("privacy",),
+}
+ORDERS = tuple(STAGES)
 
 
 def _load_json(path) -> dict:
@@ -67,9 +76,53 @@ def _read_histogram(path, schema: AttributeSchema) -> Histogram:
         raise ConfigError(f"cannot read histogram {path}: {exc}") from None
 
 
+def _resolve(path, base_dir) -> str | None:
+    """A config's path, taken relative to the config file's directory unless absolute."""
+    if path is None:
+        return None
+    path = Path(path)
+    return str(path if path.is_absolute() or base_dir is None else Path(base_dir) / path)
+
+
+def _require(obj: Mapping, key: str, where: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ConfigError(f"{where} config missing {key!r}") from None
+
+
+def _coerce(kind, value, what: str):
+    """kind(value), as a ConfigError naming `what` when the value is malformed."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}: expected a number, got {value!r}") from None
+
+
+def _parse_privacy(obj) -> dict:
+    """The epsilon, rho and optional n of a privacy config, checked and typed.
+
+    The one reader of privacy configs (release, sweep and privatize), so the
+    result can be passed as PrivacyParams.for_histogram(h, **parsed).
+    """
+    if not isinstance(obj, Mapping) or "epsilon" not in obj or "rho" not in obj:
+        raise ConfigError("privacy config needs epsilon and rho")
+    n = obj.get("n")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, (int, float))):
+        raise ConfigError(f"privacy.n: expected a number, got {n!r}")
+    return {
+        "epsilon": _coerce(float, obj["epsilon"], "privacy.epsilon"),
+        "rho": _coerce(float, obj["rho"], "privacy.rho"),
+        "n": n,
+    }
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One release pipeline: input source, stages, order, bootstrap options."""
+    """One release pipeline: input source, stages, order, bootstrap options.
+
+    `privacy` holds the epsilon, rho and n that _parse_privacy returns.
+    """
 
     schema_path: str | None
     input_path: str | None
@@ -85,12 +138,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, base_dir: Path | None = None) -> "PipelineConfig":
-        def resolve(p):
-            if p is None:
-                return None
-            p = Path(p)
-            return str(p if p.is_absolute() or base_dir is None else base_dir / p)
-
+        if not isinstance(obj, Mapping):
+            raise ConfigError("a pipeline config must be a JSON object")
         sources = [k for k in ("input", "synth", "ingest") if obj.get(k) is not None]
         if len(sources) != 1:
             raise ConfigError(f"exactly one of input/synth/ingest must be set, got {sources}")
@@ -100,49 +149,35 @@ class PipelineConfig:
         repair_spec = None
         if obj.get("repair") is not None:
             repair_spec = RepairSpec.from_json_obj(obj["repair"])
-        privacy = obj.get("privacy")
-        if privacy is not None:
-            if "epsilon" not in privacy or "rho" not in privacy:
-                raise ConfigError("privacy config needs epsilon and rho")
-        if repair_spec is None and privacy is None:
+        privacy = _parse_privacy(obj["privacy"]) if obj.get("privacy") is not None else None
+        configured = {name for name, part in (("repair", repair_spec), ("privacy", privacy)) if part is not None}
+        if not configured:
             raise ConfigError("at least one of repair/privacy must be configured")
 
         order = obj.get("order")
         if order is None:
-            if repair_spec is not None and privacy is not None:
-                order = "privacy-first"
-            elif repair_spec is not None:
-                order = "repair-only"
-            else:
-                order = "privacy-only"
+            order = next(o for o, stages in STAGES.items() if set(stages) == configured)
         if order not in ORDERS:
             raise ConfigError(f"order must be one of {ORDERS}, got {order!r}")
-        needs = {
-            "privacy-first": (True, True),
-            "bias-first": (True, True),
-            "repair-only": (True, False),
-            "privacy-only": (False, True),
-        }[order]
-        if needs[0] and repair_spec is None:
-            raise ConfigError(f"order {order!r} requires a repair spec")
-        if needs[1] and privacy is None:
-            raise ConfigError(f"order {order!r} requires privacy parameters")
-        if order == "repair-only" and privacy is not None:
-            raise ConfigError("repair-only order conflicts with configured privacy parameters")
-        if order == "privacy-only" and repair_spec is not None:
-            raise ConfigError("privacy-only order conflicts with a configured repair spec")
+        if set(STAGES[order]) != configured:
+            raise ConfigError(
+                f"order {order!r} needs exactly {' and '.join(sorted(STAGES[order]))} configured, "
+                f"got {' and '.join(sorted(configured))}"
+            )
 
-        bootstrap = obj.get("bootstrap", {})
+        replicates = _coerce(int, obj.get("bootstrap", {}).get("replicates", 200), "bootstrap.replicates")
+        if replicates < 2:
+            raise ConfigError(f"bootstrap.replicates must be at least 2, got {replicates}")
         return cls(
-            schema_path=resolve(obj.get("schema")),
-            input_path=resolve(obj.get("input")),
+            schema_path=_resolve(obj.get("schema"), base_dir),
+            input_path=_resolve(obj.get("input"), base_dir),
             synth=obj.get("synth"),
             ingest=obj.get("ingest"),
             repair_spec=repair_spec,
             privacy=privacy,
             order=order,
-            replicates=int(bootstrap.get("replicates", 200)),
-            seed=int(obj.get("seed", 0)),
+            replicates=replicates,
+            seed=_coerce(int, obj.get("seed", 0), "seed"),
             empty_release_ok=bool(obj.get("empty_release_ok", False)),
             base_dir=str(base_dir) if base_dir is not None else None,
         )
@@ -152,18 +187,17 @@ class PipelineConfig:
         return cls.from_json_obj(_load_json(path), base_dir=Path(path).parent)
 
 
-def _build_synth_config(obj: Mapping, base_dir: Path | None = None) -> SynthConfig:
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() or base_dir is None else base_dir / p
-
+def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> SynthConfig:
     if obj.get("generate_od") is not None:
-        od = synthetic_od_seed(**obj["generate_od"])
+        try:
+            od = synthetic_od_seed(**obj["generate_od"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed synth.generate_od: {exc}") from None
     elif obj.get("od_seed") is not None:
         if obj.get("od_schema") is None:
             raise ConfigError("an od_seed CSV needs an od_schema path")
-        od_schema = AttributeSchema.load(resolve(obj["od_schema"]))
-        od = read_histogram_csv(resolve(obj["od_seed"]), od_schema)
+        od_schema = _load_schema(_resolve(obj["od_schema"], base_dir))
+        od = _read_histogram(_resolve(obj["od_seed"], base_dir), od_schema)
     else:
         raise ConfigError("synth config needs od_seed or generate_od")
     kwargs = {}
@@ -180,24 +214,20 @@ def _build_synth_config(obj: Mapping, base_dir: Path | None = None) -> SynthConf
     try:
         return SynthConfig(
             od_seed=od,
-            trips=int(obj["trips"]),
+            trips=int(_require(obj, "trips", "synth")),
             mode=obj.get("mode", "uncorrelated"),
             seed=int(obj.get("seed", 0)),
             **kwargs,
         )
-    except KeyError as exc:
-        raise ConfigError(f"synth config missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed synth config: {exc}") from None
 
 
-def _run_ingest(obj: Mapping, base_dir: Path | None = None) -> IngestResult:
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() or base_dir is None else base_dir / p
-
+def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResult:
     kind = obj.get("kind")
     if kind == "taxi":
         config = TaxiConfig.from_json_obj(obj)
-        path = resolve(obj["trips_csv"])
+        path = _resolve(_require(obj, "trips_csv", "taxi ingest"), base_dir)
         try:
             with open(path, newline="", encoding="utf8") as f:
                 return taxi_preprocess(csv.DictReader(f), config)
@@ -205,13 +235,15 @@ def _run_ingest(obj: Mapping, base_dir: Path | None = None) -> IngestResult:
             raise ConfigError(f"cannot read {path}: {exc}") from None
     if kind == "bike":
         cfg_obj = dict(obj)
-        if "neighborhoods_file" in cfg_obj and "neighborhoods" not in cfg_obj:
-            text = Path(resolve(cfg_obj["neighborhoods_file"])).read_text(encoding="utf8")
-            cfg_obj["neighborhoods"] = [line.strip() for line in text.splitlines() if line.strip()]
-        config = BikeConfig.from_json_obj(cfg_obj)
+        trips_path = _resolve(_require(obj, "trips_csv", "bike ingest"), base_dir)
+        riders_path = _resolve(_require(obj, "riders_csv", "bike ingest"), base_dir)
         try:
-            with open(resolve(obj["trips_csv"]), newline="", encoding="utf8") as tf, open(
-                resolve(obj["riders_csv"]), newline="", encoding="utf8"
+            if "neighborhoods_file" in cfg_obj and "neighborhoods" not in cfg_obj:
+                text = Path(_resolve(cfg_obj["neighborhoods_file"], base_dir)).read_text(encoding="utf8")
+                cfg_obj["neighborhoods"] = [line.strip() for line in text.splitlines() if line.strip()]
+            config = BikeConfig.from_json_obj(cfg_obj)
+            with open(trips_path, newline="", encoding="utf8") as tf, open(
+                riders_path, newline="", encoding="utf8"
             ) as rf:
                 return bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
         except OSError as exc:
@@ -220,12 +252,11 @@ def _run_ingest(obj: Mapping, base_dir: Path | None = None) -> IngestResult:
 
 
 def _load_pipeline_input(cfg: PipelineConfig) -> Histogram:
-    base = Path(cfg.base_dir) if cfg.base_dir is not None else None
     if cfg.input_path is not None:
         return _read_histogram(cfg.input_path, _load_schema(cfg.schema_path))
     if cfg.synth is not None:
-        return synth_generate(_build_synth_config(cfg.synth, base_dir=base))
-    return _run_ingest(cfg.ingest, base_dir=base).histogram
+        return synth_generate(_build_synth_config(cfg.synth, cfg.base_dir))
+    return _run_ingest(cfg.ingest, cfg.base_dir).histogram
 
 
 @dataclass
@@ -239,26 +270,15 @@ class StageOutcome:
 
 def _run_stages(h: Histogram, cfg: PipelineConfig, seed: int) -> StageOutcome:
     """Execute the configured stages in order on h; stops on an empty result."""
-    stages = {
-        "privacy-first": ("privacy", "repair"),
-        "bias-first": ("repair", "privacy"),
-        "repair-only": ("repair",),
-        "privacy-only": ("privacy",),
-    }[cfg.order]
     current = h
     outcome = StageOutcome(h, None, None, None, [])
-    for stage in stages:
+    for stage in STAGES[cfg.order]:
         try:
             if stage == "repair":
                 outcome.repair_result = repair(current, cfg.repair_spec)
                 current = outcome.repair_result.rounded
             else:
-                params = PrivacyParams.for_histogram(
-                    current,
-                    epsilon=float(cfg.privacy["epsilon"]),
-                    rho=float(cfg.privacy["rho"]),
-                    n=cfg.privacy.get("n"),
-                )
+                params = PrivacyParams.for_histogram(current, **cfg.privacy)
                 outcome.privacy_params = params
                 outcome.release_result = privatize(current, params, derive_seed(seed, "privacy"))
                 current = outcome.release_result.histogram
@@ -271,6 +291,22 @@ def _run_stages(h: Histogram, cfg: PipelineConfig, seed: int) -> StageOutcome:
             break
     outcome.final = current
     return outcome
+
+
+def _repair_report(result: FractionalRepairResult, total_before) -> dict:
+    return {
+        "cmi_before": result.cmi_before,
+        "cmi_after": result.cmi_after,
+        "kl": result.kl_divergence,
+        "total_before": total_before,
+        "total_after_rounded": result.rounded.total,
+    }
+
+
+def _release_report(result: ReleaseResult, params: PrivacyParams) -> dict:
+    report = result.to_report_obj()
+    report["params"] = {"epsilon": params.epsilon, "rho": params.rho, "n": params.n, "tau": params.tau}
+    return report
 
 
 def _empty_distance_report(replicates: int, seed: int) -> dict:
@@ -292,37 +328,20 @@ def run_release(cfg: PipelineConfig, out_dir, seed: int | None = None) -> int:
     config opts out of warning-as-status).
     """
     seed = cfg.seed if seed is None else seed
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     original = _load_pipeline_input(cfg)
     outcome = _run_stages(original, cfg, seed)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     original.schema.save(out / "schema.json")
     write_histogram_csv(outcome.final, out / "released.csv")
     if outcome.repair_result is not None:
-        rr = outcome.repair_result
-        _write_json(
-            {
-                "cmi_before": rr.cmi_before,
-                "cmi_after": rr.cmi_after,
-                "kl": rr.kl_divergence,
-                "total_before": original.total,
-                "total_after_rounded": rr.rounded.total,
-            },
-            out / "repair_report.json",
-        )
+        _write_json(_repair_report(outcome.repair_result, original.total), out / "repair_report.json")
     if outcome.release_result is not None:
-        report = outcome.release_result.to_report_obj()
-        params = outcome.privacy_params
-        report["params"] = {
-            "epsilon": params.epsilon,
-            "rho": params.rho,
-            "n": params.n,
-            "tau": params.tau,
-        }
+        report = _release_report(outcome.release_result, outcome.privacy_params)
         _write_json(report, out / "release_report.json")
 
-    if len(outcome.final) == 0:
+    if len(outcome.final) == 0:  # the only case in which a stage leaves a warning
         _write_json(_empty_distance_report(cfg.replicates, seed), out / "distance_report.json")
         for msg in outcome.warnings:
             print(f"warning: {msg}", file=sys.stderr)
@@ -339,8 +358,6 @@ def run_release(cfg: PipelineConfig, out_dir, seed: int | None = None) -> int:
         baseline=baseline,
     )
     _write_json(report.to_json_obj(), out / "distance_report.json")
-    for msg in outcome.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
     return 0
 
 
@@ -357,15 +374,13 @@ def run_measure(
     schema = _load_schema(schema_path)
     reference = _read_histogram(reference_path, schema)
     other = _read_histogram(other_path, schema)
-    report = build_distance_report(reference, other, replicates=replicates, seed=seed)
+    distances = bootstrap_distances(reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed)
+    report = distance_report(reference, other, distances, seed)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(report.to_json_obj(), out / "distance_report.json")
         if write_replicates:
-            distances = bootstrap_distances(
-                reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed
-            )
             with open(out / "replicate_distances.csv", "w", newline="", encoding="utf8") as f:
                 writer = csv.writer(f)
                 writer.writerow(["replicate", "pwkt", "hellinger"])
@@ -398,34 +413,18 @@ def run_sweep(
     rows = []
     for eps in epsilons:
         for rho in rhos:
+            cell_cfg = replace(cfg, privacy=_parse_privacy({**cfg.privacy, "epsilon": eps, "rho": rho}))
             for trial in range(trials):
-                cell_cfg = PipelineConfig(
-                    schema_path=cfg.schema_path,
-                    input_path=cfg.input_path,
-                    synth=cfg.synth,
-                    ingest=cfg.ingest,
-                    repair_spec=cfg.repair_spec,
-                    privacy={**cfg.privacy, "epsilon": eps, "rho": rho},
-                    order=cfg.order,
-                    replicates=cfg.replicates,
-                    seed=seed,
-                    empty_release_ok=True,
-                )
                 cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
-                outcome = _run_stages(original, cell_cfg, cell_seed)
-                if len(outcome.final) == 0:
-                    row = {"epsilon": eps, "rho": rho, "trial": trial,
-                           "pwkt": math.nan, "hellinger": math.nan, "bins_released": 0}
-                else:
-                    row = {
-                        "epsilon": eps,
-                        "rho": rho,
-                        "trial": trial,
-                        "pwkt": pwkt(original, outcome.final),
-                        "hellinger": hellinger(original, outcome.final),
-                        "bins_released": len(outcome.final),
-                    }
-                rows.append(row)
+                final = _run_stages(original, cell_cfg, cell_seed).final
+                rows.append({
+                    "epsilon": eps,
+                    "rho": rho,
+                    "trial": trial,
+                    "pwkt": pwkt(original, final) if len(final) else math.nan,
+                    "hellinger": hellinger(original, final) if len(final) else math.nan,
+                    "bins_released": len(final),
+                })
 
     if out_path is not None:
         out_path = Path(out_path)
@@ -433,17 +432,9 @@ def run_sweep(
         with open(out_path, "w", newline="", encoding="utf8") as f:
             writer = csv.writer(f)
             writer.writerow(["epsilon", "rho", "trial", "pwkt", "hellinger", "bins_released"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["epsilon"],
-                        row["rho"],
-                        row["trial"],
-                        f"{row['pwkt']:.9f}" if not math.isnan(row["pwkt"]) else "nan",
-                        f"{row['hellinger']:.9f}" if not math.isnan(row["hellinger"]) else "nan",
-                        row["bins_released"],
-                    ]
-                )
+            for row in rows:  # a NaN distance formats as "nan"
+                writer.writerow([row["epsilon"], row["rho"], row["trial"], f"{row['pwkt']:.9f}",
+                                 f"{row['hellinger']:.9f}", row["bins_released"]])
     return rows
 
 
@@ -483,34 +474,21 @@ def _cmd_repair(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_histogram_csv(result.rounded, out / "repaired.csv")
     write_histogram_csv(result.fractional, out / "fractional.csv")
-    _write_json(
-        {
-            "cmi_before": result.cmi_before,
-            "cmi_after": result.cmi_after,
-            "kl": result.kl_divergence,
-            "total_before": h.total,
-            "total_after_rounded": result.rounded.total,
-        },
-        out / "repair_report.json",
-    )
+    _write_json(_repair_report(result, h.total), out / "repair_report.json")
     return 0
 
 
 def _cmd_privatize(args) -> int:
-    schema = _load_schema(args.schema)
-    h = _read_histogram(args.input, schema)
     obj = _load_json(args.config)
-    if "epsilon" not in obj or "rho" not in obj:
-        raise ConfigError("privacy config needs epsilon and rho")
-    params = PrivacyParams.for_histogram(h, float(obj["epsilon"]), float(obj["rho"]), obj.get("n"))
-    seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
+    privacy = _parse_privacy(obj)
+    seed = args.seed if args.seed is not None else _coerce(int, obj.get("seed", 0), "seed")
+    h = _read_histogram(args.input, _load_schema(args.schema))
+    params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_histogram_csv(result.histogram, out / "released.csv")
-    report = result.to_report_obj()
-    report["params"] = {"epsilon": params.epsilon, "rho": params.rho, "n": params.n, "tau": params.tau}
-    _write_json(report, out / "release_report.json")
+    _write_json(_release_report(result, params), out / "release_report.json")
     if len(result.histogram) == 0:
         print("warning: empty release (threshold exceeded every bucket)", file=sys.stderr)
         return 0 if args.ok_empty else 4
@@ -537,11 +515,9 @@ def _cmd_measure(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = PipelineConfig.load(args.config)
-    epsilons = [float(v) for v in args.epsilons.split(",") if v.strip()]
-    rhos = [float(v) for v in args.rhos.split(",") if v.strip()]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run_sweep(cfg, epsilons, rhos, trials=args.trials, out_path=out / "sweep.csv", seed=args.seed)
+    epsilons = [_coerce(float, v, "--epsilons") for v in args.epsilons.split(",") if v.strip()]
+    rhos = [_coerce(float, v, "--rhos") for v in args.rhos.split(",") if v.strip()]
+    run_sweep(cfg, epsilons, rhos, trials=args.trials, out_path=Path(args.out) / "sweep.csv", seed=args.seed)
     return 0
 
 

@@ -147,6 +147,8 @@ class Histogram:
             key = schema.validate_key(key)
             if value == 0:
                 continue
+            if not -math.inf < value < math.inf:  # NaN fails both comparisons
+                raise DataError(f"non-finite count {value!r} for bucket {key!r}")
             if value < 0:
                 raise DataError(f"negative count {value!r} for bucket {key!r}")
             if integral:
@@ -219,15 +221,11 @@ class Marginal:
         return self.counts.get(tuple(key), default)
 
 
-def _check_attrs(schema: AttributeSchema, attrs: Sequence[str]) -> tuple[int, ...]:
-    if len(set(attrs)) != len(attrs):
-        raise SchemaError(f"duplicate attributes in projection: {list(attrs)}")
-    return tuple(schema.position(a) for a in attrs)
-
-
 def marginalize(h: Histogram, attrs: Sequence[str]) -> Marginal:
     """Project a histogram onto `attrs` and sum counts (group-by semantics)."""
-    positions = _check_attrs(h.schema, attrs)
+    if len(set(attrs)) != len(attrs):
+        raise SchemaError(f"duplicate attributes in projection: {list(attrs)}")
+    positions = tuple(h.schema.position(a) for a in attrs)
     out: dict[BucketKey, float] = {}
     for key, c in h.items():
         sub = tuple(key[i] for i in positions)
@@ -245,12 +243,8 @@ def normalize(h: Histogram) -> dict[BucketKey, float]:
 
 def group_by(h: Histogram, keep: Sequence[str]) -> Histogram:
     """New histogram over only the `keep` attributes; counts are summed."""
-    positions = _check_attrs(h.schema, keep)
-    out: dict[BucketKey, float] = {}
-    for key, c in h.items():
-        sub = tuple(key[i] for i in positions)
-        out[sub] = out.get(sub, 0) + c
-    return Histogram(h.schema.subset(keep), out, integral=h.integral)
+    counts = marginalize(h, keep).counts
+    return Histogram(h.schema.subset(keep), counts, integral=h.integral)
 
 
 def check_same_schema(h1: Histogram, h2: Histogram) -> None:

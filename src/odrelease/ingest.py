@@ -128,18 +128,19 @@ def tertiles(totals: Mapping) -> dict:
     return out
 
 
+def _tenths(value: float) -> int:
+    """value in tenths, rounded to the nearest integer with halves away from zero."""
+    tenths = math.floor(abs(value) * 10.0 + 0.5)
+    return -tenths if value < 0 else tenths
+
+
 def round_coordinate(value: float) -> str:
     """Round to one decimal place, halves away from zero; returned formatted."""
-    tenths = math.floor(abs(value) * 10.0 + 0.5)
-    if value < 0 and tenths != 0:
-        tenths = -tenths
-    return f"{tenths / 10.0:.1f}"
+    return f"{_tenths(value) / 10.0:.1f}"
 
 
 def _tenths_range(lo: float, hi: float) -> tuple[str, ...]:
-    lo_t = math.floor(lo * 10.0 + 0.5) if lo >= 0 else -math.floor(abs(lo) * 10.0 + 0.5)
-    hi_t = math.floor(hi * 10.0 + 0.5) if hi >= 0 else -math.floor(abs(hi) * 10.0 + 0.5)
-    return tuple(f"{t / 10.0:.1f}" for t in range(lo_t, hi_t + 1))
+    return tuple(f"{t / 10.0:.1f}" for t in range(_tenths(lo), _tenths(hi) + 1))
 
 
 @dataclass(frozen=True)

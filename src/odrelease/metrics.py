@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError
-from .histogram import Histogram, check_same_schema, support_union
+from .histogram import BucketKey, Histogram, check_same_schema, support_union
 from .rng import substream
 
 METRIC_IDS = ("pwkt", "hellinger")
@@ -121,43 +121,35 @@ def _weighted_inversions(sigma, weights) -> float:
     return 0.5 * math.fsum(float(weights[k]) * counts[k] for k in range(len(counts)) if counts[k])
 
 
-def _ranking_sigma(ref_counts: np.ndarray, other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
+def _key_ranks(keys: Sequence[BucketKey]) -> np.ndarray:
+    """Each key's position when `keys` are sorted lexicographically."""
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
+def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
     """Positions in the `other` ranking of the items in reference order.
 
-    Both rankings sort by (count descending, key ascending); the arrays are
-    assumed to be aligned to the reference ranking already, with key_rank
-    giving each item's lexicographic rank among the union keys.
+    Both rankings sort by (count descending, key ascending).  The items are
+    given in reference ranking order, so only the other ranking needs
+    sorting; key_rank gives each item's lexicographic rank among the keys.
     """
-    m = len(ref_counts)
-    order_ref = np.lexsort((key_rank, -ref_counts))
-    order_other = np.lexsort((key_rank, -other_counts))
-    rank_other = np.empty(m, dtype=np.int64)
-    rank_other[order_other] = np.arange(1, m + 1)
-    return rank_other[order_ref]
+    sigma = np.empty(len(other_counts), dtype=np.int64)
+    sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, len(other_counts) + 1)
+    return sigma
 
 
-def _pwkt_from_vectors(
-    ref_counts: np.ndarray,
-    other_counts: np.ndarray,
-    key_rank: np.ndarray,
-    weighting: str = "harmonic",
-) -> float:
-    m = len(ref_counts)
+def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting: str = "harmonic") -> float:
+    """pwkt of items given in reference ranking order against their `other` counts."""
+    m = len(other_counts)
     if m <= 1:
         return 0.0
-    sigma = _ranking_sigma(ref_counts, other_counts, key_rank)
-    return _weighted_inversions(sigma, _position_weights(m, weighting))
+    return _weighted_inversions(_ranking_sigma(other_counts, key_rank), _position_weights(m, weighting))
 
 
-def _union_vectors(h1: Histogram, h2: Histogram):
-    keys = support_union(h1, h2)
-    c1 = np.array([h1.get(k, 0) for k in keys], dtype=float)
-    c2 = np.array([h2.get(k, 0) for k in keys], dtype=float)
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    key_rank = np.empty(len(keys), dtype=np.int64)
-    for rank, i in enumerate(order):
-        key_rank[i] = rank
-    return keys, c1, c2, key_rank
+def _counts_over(h: Histogram, keys: Sequence[BucketKey]) -> np.ndarray:
+    return np.array([h.get(k, 0) for k in keys], dtype=float)
 
 
 def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") -> float:
@@ -168,9 +160,8 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     the average of the harmonic weights of its two reference positions, so
     disagreement near the top of the reference ranking dominates.
     """
-    check_same_schema(reference, other)
-    _, c1, c2, key_rank = _union_vectors(reference, other)
-    return _pwkt_from_vectors(c1, c2, key_rank, weighting)
+    keys = support_union(reference, other)  # the reference ranking
+    return _pwkt_from_vectors(_counts_over(other, keys), _key_ranks(keys), weighting)
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -183,8 +174,8 @@ def hellinger(h1: Histogram, h2: Histogram) -> float:
     check_same_schema(h1, h2)
     if h1.total <= 0 or h2.total <= 0:
         raise EmptyInputError("Hellinger distance of an empty histogram")
-    _, c1, c2, _ = _union_vectors(h1, h2)
-    return _hellinger_from_vectors(c1 / h1.total, c2 / h2.total)
+    keys = support_union(h1, h2)
+    return _hellinger_from_vectors(_counts_over(h1, keys) / h1.total, _counts_over(h2, keys) / h2.total)
 
 
 MetricFn = Callable[[Histogram, Histogram], float]
@@ -222,14 +213,11 @@ def bootstrap_distances(
     resolved = {name: _resolve_metric(metric) for name, metric in metrics.items()}
 
     keys = h.canonical_order()
-    counts = np.array([h.get(k) for k in keys], dtype=float)
+    counts = _counts_over(h, keys)
     total = int(h.total)
     probs = counts / counts.sum()
     # canonical order is (count desc, key asc): the reference ranking itself
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    key_rank = np.empty(len(keys), dtype=np.int64)
-    for rank, i in enumerate(order):
-        key_rank[i] = rank
+    key_rank = _key_ranks(keys)
 
     out = {name: np.empty(replicates) for name in resolved}
     for r in range(replicates):
@@ -237,7 +225,7 @@ def bootstrap_distances(
         replicate_hist = None
         for name, metric in resolved.items():
             if metric == "pwkt":
-                out[name][r] = _pwkt_from_vectors(counts, sample, key_rank)
+                out[name][r] = _pwkt_from_vectors(sample, key_rank)
             elif metric == "hellinger":
                 out[name][r] = _hellinger_from_vectors(probs, sample / total)
             else:
@@ -274,9 +262,18 @@ def build_distance_report(
     `baseline` is typically the random-X rebuild of the reference; its
     distances to the reference are reported per metric when supplied.
     """
-    distances = bootstrap_distances(
-        reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed
-    )
+    distances = bootstrap_distances(reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed)
+    return distance_report(reference, other, distances, seed, baseline)
+
+
+def distance_report(
+    reference: Histogram,
+    other: Histogram,
+    distances: Mapping[str, np.ndarray],
+    seed: int,
+    baseline: Histogram | None = None,
+) -> DistanceReport:
+    """The report of build_distance_report from bootstrap distances already drawn with `seed`."""
     baseline_values = None
     if baseline is not None:
         baseline_values = {
@@ -288,6 +285,6 @@ def build_distance_report(
         hellinger=hellinger(reference, other),
         band={name: _band(d) for name, d in distances.items()},
         baseline=baseline_values,
-        replicates=replicates,
+        replicates=len(distances["pwkt"]),
         seed=seed,
     )

@@ -130,10 +130,6 @@ def kl_divergence(h: Histogram, q: Histogram) -> float:
     return math.fsum(terms)
 
 
-def _round_half_even(value: float) -> int:
-    return round(value)
-
-
 def _largest_remainder(values: dict[BucketKey, float]) -> dict[BucketKey, int]:
     """Round a group so the rounded sum equals round(sum of values)."""
     target = round(math.fsum(values.values()))
@@ -180,7 +176,7 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
         for members in groups.values():
             rounded_counts.update(_largest_remainder(members))
     else:
-        rounded_counts = {key: _round_half_even(v) for key, v in frac.items()}
+        rounded_counts = {key: round(v) for key, v in frac.items()}
     rounded = Histogram(schema, rounded_counts, integral=True)
 
     cmi_before = conditional_mutual_information(h, spec)

@@ -1,15 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import odrelease
 from odrelease import (
     AttributeSchema,
+    ConfigError,
     Histogram,
     derive_seed,
     read_histogram_csv,
     write_histogram_csv,
 )
+from odrelease import cli, metrics
 from odrelease.cli import PipelineConfig, main, run_measure, run_release, run_sweep
 
 
@@ -64,6 +72,29 @@ class TestPipelineConfig:
         path = write_pipeline_config(tmp_path, privacy=None, order="privacy-first")
         with pytest.raises(Exception):
             PipelineConfig.load(path)
+
+    @pytest.mark.parametrize(
+        "repair, privacy, valid_orders",
+        [
+            (True, True, {"privacy-first", "bias-first"}),
+            (True, False, {"repair-only"}),
+            (False, True, {"privacy-only"}),
+        ],
+    )
+    def test_order_must_match_configured_stages(self, tmp_path, repair, privacy, valid_orders):
+        write_small_input(tmp_path)
+        overrides = {}
+        if not repair:
+            overrides["repair"] = None
+        if not privacy:
+            overrides["privacy"] = None
+        for order in ("privacy-first", "bias-first", "repair-only", "privacy-only"):
+            path = write_pipeline_config(tmp_path, order=order, **overrides)
+            if order in valid_orders:
+                assert PipelineConfig.load(path).order == order
+            else:
+                with pytest.raises(ConfigError):
+                    PipelineConfig.load(path)
 
     def test_no_stage_rejected(self, tmp_path):
         write_small_input(tmp_path)
@@ -173,6 +204,32 @@ class TestMeasureCommand:
         assert lines[0] == "replicate,pwkt,hellinger"
         assert len(lines) == 21
 
+    def test_replicates_csv_reuses_the_report_bootstrap(self, tmp_path, monkeypatch):
+        write_small_input(tmp_path)
+        calls = []
+
+        original = metrics.bootstrap_distances
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bootstrap_distances", counting)
+        monkeypatch.setattr(metrics, "bootstrap_distances", counting)
+        out = tmp_path / "out"
+        assert main(
+            [
+                "measure", str(tmp_path / "input.csv"), str(tmp_path / "input.csv"),
+                "--schema", str(tmp_path / "schema.json"),
+                "--replicates", "30", "--out", str(out), "--replicates-csv",
+            ]
+        ) == 0
+        assert len(calls) == 1
+        report = json.loads((out / "distance_report.json").read_text())
+        rows = np.loadtxt(out / "replicate_distances.csv", delimiter=",", skiprows=1)
+        for col, name in ((1, "pwkt"), (2, "hellinger")):
+            assert report["band"][name]["mean"] == pytest.approx(rows[:, col].mean(), abs=1e-9)
+
     def test_schema_mismatch_is_data_error(self, tmp_path):
         schema, h = write_small_input(tmp_path)
         other_schema = AttributeSchema((("x", ("a",)),))
@@ -202,6 +259,79 @@ class TestExitCodes:
         (tmp_path / "input.csv").write_text("origin,gender,rating,count\no1,m,1,-2\n")
         path = write_pipeline_config(tmp_path)
         assert main(["release", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+def run_cli(argv, cwd):
+    """The CLI in a fresh interpreter, so an escaped exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(odrelease.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "odrelease", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def release_argv(tmp_path, **overrides):
+    write_small_input(tmp_path)
+    return ["release", "--config", str(write_pipeline_config(tmp_path, **overrides))]
+
+
+def synth_release_argv(tmp_path):
+    synth = {"generate_od": {"n_neighborhoods": 4, "n_pairs": 3, "bogus": 1}, "trips": 100}
+    return release_argv(tmp_path, input=None, schema=None, synth=synth)
+
+
+def taxi_ingest_argv(tmp_path):
+    path = tmp_path / "ingest.json"
+    path.write_text(json.dumps({"kind": "taxi"}))
+    return ["ingest", "--config", str(path)]
+
+
+def sweep_argv(tmp_path):
+    return ["sweep", *release_argv(tmp_path)[1:], "--epsilons", "x", "--rhos", "0.5"]
+
+
+def repair_argv_with_count(tmp_path, raw):
+    write_small_input(tmp_path)
+    (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
+    spec = tmp_path / "repair.json"
+    spec.write_text(json.dumps({"x": "gender", "y": "rating", "z": ["origin"]}))
+    return [
+        "repair", "--config", str(spec), "--schema", str(tmp_path / "schema.json"),
+        "--input", str(tmp_path / "input.csv"),
+    ]
+
+
+def privatize_argv(tmp_path, privacy):
+    write_small_input(tmp_path)
+    path = tmp_path / "privacy.json"
+    path.write_text(json.dumps(privacy))
+    return [
+        "privatize", "--config", str(path), "--schema", str(tmp_path / "schema.json"),
+        "--input", str(tmp_path / "input.csv"),
+    ]
+
+
+MALFORMED_INPUTS = {
+    "epsilon-not-a-number": (lambda t: release_argv(t, privacy={"epsilon": "abc", "rho": 0.9}), 2),
+    "n-a-string": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": "7"}), 2),
+    "privatize-rho-not-a-number": (lambda t: privatize_argv(t, {"epsilon": 1.0, "rho": [0.5]}), 2),
+    "unknown-generate-od-key": (synth_release_argv, 2),
+    "taxi-without-trips-csv": (taxi_ingest_argv, 2),
+    "sweep-epsilon-not-a-number": (sweep_argv, 2),
+    "one-bootstrap-replicate": (lambda t: release_argv(t, bootstrap={"replicates": 1}), 2),
+    "nan-count": (lambda t: repair_argv_with_count(t, "nan"), 3),
+    "inf-count": (lambda t: repair_argv_with_count(t, "inf"), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_typed_error(tmp_path, case):
+    make_argv, code = MALFORMED_INPUTS[case]
+    out = tmp_path / "out"
+    proc = run_cli([*make_argv(tmp_path), "--out", str(out)], cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:" if code == 2 else "data error:")
+    assert not out.exists()  # rejected before any output is written
 
 
 class TestSweep:

@@ -73,6 +73,12 @@ class TestHistogramConstruction:
         with pytest.raises(DataError):
             Histogram(two_attr_schema(), {("a", "0"): 1.5})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_non_finite_count_rejected(self, value, integral):
+        with pytest.raises(DataError, match="non-finite"):
+            Histogram(two_attr_schema(), {("a", "0"): value}, integral=integral)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(SchemaError):
             Histogram(two_attr_schema(), {("z", "0"): 1})
@@ -249,6 +255,13 @@ class TestCsv:
     def test_negative_count_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("first,second,count\na,0,-1\n")
+        with pytest.raises(DataError):
+            read_histogram_csv(path, two_attr_schema())
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_count_rejected(self, tmp_path, raw):
+        path = tmp_path / "h.csv"
+        path.write_text(f"first,second,count\na,0,{raw}\nb,1,2\n")
         with pytest.raises(DataError):
             read_histogram_csv(path, two_attr_schema())
 
