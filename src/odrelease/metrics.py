@@ -70,55 +70,30 @@ def _position_weights(m: int, weighting: str) -> np.ndarray:
     raise ConfigError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
 
 
-def _inversion_participation(sigma) -> list[int]:
-    """How many inversions each position takes part in.
+def _smaller_before(sigma: np.ndarray) -> np.ndarray:
+    """For each position j, the number of earlier positions i with sigma[i] < sigma[j].
 
-    sigma must be a permutation of 1..m.  Two Fenwick passes over sigma
-    values count, for every position, the earlier elements that are larger
-    and the later elements that are smaller; each position pays O(log m).
+    sigma must be a permutation of 1..m.  A bottom-up merge over position
+    blocks of width w = 1, 2, 4, ...: the slots of each block hold its
+    positions in value order, so with key = slot // 2w * (m + 1) + value the
+    left blocks form one sorted array, two searchsorted calls count for each
+    element of a right block the smaller ones of the left block it merges
+    with, and sorting the keys merges every pair.
     """
     m = len(sigma)
-    counts = [0] * m
-    tree = [0] * (m + 1)
-    inserted = 0
-    for j in range(m):
-        s = int(sigma[j])
-        i = s
-        n_le = 0
-        while i > 0:
-            n_le += tree[i]
-            i -= i & (-i)
-        counts[j] += inserted - n_le
-        i = s
-        while i <= m:
-            tree[i] += 1
-            i += i & (-i)
-        inserted += 1
-    tree = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        s = int(sigma[j])
-        i = s - 1
-        n_lt = 0
-        while i > 0:
-            n_lt += tree[i]
-            i -= i & (-i)
-        counts[j] += n_lt
-        i = s
-        while i <= m:
-            tree[i] += 1
-            i += i & (-i)
-    return counts
-
-
-def _weighted_inversions(sigma, weights) -> float:
-    """Sum of (w_i + w_j)/2 over pairs i < j with sigma[i] > sigma[j].
-
-    Each pair's cost splits as half its two position weights, so the total
-    is half the exactly-rounded sum of weight * inversion-participation per
-    position: the counts are exact integers and every term is rounded once.
-    """
-    counts = _inversion_participation(sigma)
-    return 0.5 * math.fsum(float(weights[k]) * counts[k] for k in range(len(counts)) if counts[k])
+    smaller = np.zeros(m, dtype=np.int64)
+    slots = np.arange(m)
+    pos = slots
+    width = 1
+    while width < m:
+        key = slots // (2 * width) * (m + 1) + sigma[pos]
+        right = slots // width % 2 == 1
+        left_keys, right_keys, right_pos = key[~right], key[right], pos[right]
+        block_start = right_keys - sigma[right_pos]
+        smaller[right_pos] += np.searchsorted(left_keys, right_keys) - np.searchsorted(left_keys, block_start)
+        pos = pos[np.argsort(key, kind="stable")]
+        width *= 2
+    return smaller
 
 
 def _key_ranks(keys: Sequence[BucketKey]) -> np.ndarray:
@@ -141,11 +116,21 @@ def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray
 
 
 def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting: str = "harmonic") -> float:
-    """pwkt of items given in reference ranking order against their `other` counts."""
+    """pwkt of items given in reference ranking order against their `other` counts.
+
+    Each discordant pair costs half the sum of its two position weights, so
+    the total is half the exactly rounded sum of weight times inversion
+    participation per position.  Position j (0-based) is inverted with the
+    j - L_j earlier larger items and the sigma_j - 1 - L_j later smaller
+    ones, where L_j counts the earlier smaller items.
+    """
     m = len(other_counts)
     if m <= 1:
         return 0.0
-    return _weighted_inversions(_ranking_sigma(other_counts, key_rank), _position_weights(m, weighting))
+    weights = _position_weights(m, weighting)
+    sigma = _ranking_sigma(other_counts, key_rank)
+    participation = np.arange(m) + sigma - 1 - 2 * _smaller_before(sigma)
+    return 0.5 * math.fsum((weights * participation).tolist())
 
 
 def _counts_over(h: Histogram, keys: Sequence[BucketKey]) -> np.ndarray:

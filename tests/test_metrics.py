@@ -17,6 +17,7 @@ from odrelease import (
     pwkt,
     support_union,
 )
+from odrelease.metrics import _smaller_before
 from helpers import (
     full_reversal_closed_form,
     ladder_histograms,
@@ -118,6 +119,12 @@ class TestPwkt:
             union = support_union(ref, other)
             brute = pwkt_bruteforce(ranking_of(ref, union), ranking_of(other, union))
             assert pwkt(ref, other) == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 1000, 1025])
+    def test_smaller_before_counts_earlier_smaller_values(self, m):
+        sigma = np.random.default_rng(m).permutation(m) + 1
+        expected = [int(np.sum(sigma[:j] < sigma[j])) for j in range(m)]
+        assert _smaller_before(sigma).tolist() == expected
 
     def test_invariant_under_rescaling_other(self):
         ref = hist("abcdef", {"a": 30, "b": 12, "c": 7, "d": 2})

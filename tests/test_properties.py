@@ -47,18 +47,25 @@ def histograms(draw, schema=None, max_count=3):
     return Histogram(schema, dict(zip(keys, counts)))
 
 
+# One attribute with 2-300 labels: pwkt runs up to 9 merge levels, over
+# sizes that are mostly not powers of two.
+wide_schemas = st.integers(2, 300).map(
+    lambda size: AttributeSchema((("a0", tuple(f"v{j}" for j in range(size))),))
+)
+
+
 @st.composite
-def histogram_pairs(draw):
-    schema = draw(schemas())
-    reference = draw(histograms(schema))
-    other = draw(histograms(schema))
+def histogram_pairs(draw, schema_strategy=schemas(), max_count=3):
+    schema = draw(schema_strategy)
+    reference = draw(histograms(schema, max_count))
+    other = draw(histograms(schema, max_count))
     if draw(st.booleans()):  # force disjoint supports
         other = Histogram(schema, {k: c for k, c in other.items() if k not in reference})
     return reference, other
 
 
 @property_settings
-@given(histogram_pairs(), st.sampled_from(sorted(WEIGHTS)))
+@given(st.one_of(histogram_pairs(), histogram_pairs(wide_schemas, max_count=5)), st.sampled_from(sorted(WEIGHTS)))
 def test_pwkt_matches_bruteforce(pair, weighting):
     reference, other = pair
     union = support_union(reference, other)
