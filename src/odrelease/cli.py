@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, DataError, ODReleaseError
+from .errors import ConfigError, DataError, ODReleaseError, SchemaError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
     BikeConfig,
@@ -108,13 +108,32 @@ def _parse_privacy(obj) -> dict:
     if not isinstance(obj, Mapping) or "epsilon" not in obj or "rho" not in obj:
         raise ConfigError("privacy config needs epsilon and rho")
     n = obj.get("n")
-    if n is not None and (isinstance(n, bool) or not isinstance(n, (int, float))):
-        raise ConfigError(f"privacy.n: expected a number, got {n!r}")
+    if n is not None and (
+        isinstance(n, bool) or not isinstance(n, (int, float)) or not 0 <= n < 2**63 or n != int(n)
+    ):
+        raise ConfigError(f"privacy.n: expected a whole number in [0, 2**63), got {n!r}")
     return {
         "epsilon": _coerce(float, obj["epsilon"], "privacy.epsilon"),
         "rho": _coerce(float, obj["rho"], "privacy.rho"),
         "n": n,
     }
+
+
+def _parse_repair(obj) -> RepairSpec:
+    """The x, y and z of a repair spec (release, sweep and repair), checked and typed.
+
+    Attribute names are checked against a schema only once the input has
+    loaded, so an unknown name stays a data error.
+    """
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("x"), str) or not isinstance(obj.get("y"), str):
+        raise ConfigError("a repair spec needs attribute names x and y")
+    z = obj.get("z", [])
+    if not isinstance(z, list) or not all(isinstance(a, str) for a in z):
+        raise ConfigError(f"repair.z: expected a list of attribute names, got {z!r}")
+    try:
+        return RepairSpec(obj["x"], obj["y"], tuple(z))
+    except SchemaError as exc:
+        raise ConfigError(f"malformed repair spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -146,9 +165,7 @@ class PipelineConfig:
         if obj.get("input") is not None and obj.get("schema") is None:
             raise ConfigError("an input histogram needs a schema path")
 
-        repair_spec = None
-        if obj.get("repair") is not None:
-            repair_spec = RepairSpec.from_json_obj(obj["repair"])
+        repair_spec = _parse_repair(obj["repair"]) if obj.get("repair") is not None else None
         privacy = _parse_privacy(obj["privacy"]) if obj.get("privacy") is not None else None
         configured = {name for name, part in (("repair", repair_spec), ("privacy", privacy)) if part is not None}
         if not configured:
@@ -165,7 +182,10 @@ class PipelineConfig:
                 f"got {' and '.join(sorted(configured))}"
             )
 
-        replicates = _coerce(int, obj.get("bootstrap", {}).get("replicates", 200), "bootstrap.replicates")
+        bootstrap = obj.get("bootstrap", {})
+        if not isinstance(bootstrap, Mapping):
+            raise ConfigError(f"bootstrap: expected an object, got {bootstrap!r}")
+        replicates = _coerce(int, bootstrap.get("replicates", 200), "bootstrap.replicates")
         if replicates < 2:
             raise ConfigError(f"bootstrap.replicates must be at least 2, got {replicates}")
         return cls(
@@ -466,9 +486,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    schema = _load_schema(args.schema)
-    h = _read_histogram(args.input, schema)
-    spec = RepairSpec.from_json_obj(_load_json(args.config))
+    spec = _parse_repair(_load_json(args.config))
+    h = _read_histogram(args.input, _load_schema(args.schema))
     result = repair(h, spec, rounding=args.rounding)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -160,7 +160,9 @@ class TaxiConfig:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TaxiConfig":
         columns = dict(DEFAULT_TAXI_COLUMNS)
-        given = dict(obj.get("columns", {}))
+        given = obj.get("columns", {})
+        if not isinstance(given, Mapping):
+            raise ConfigError(f"taxi columns: expected an object, got {given!r}")
         # accept either orientation: {column name: role} or {role: column name}
         if given and set(given.values()) <= set(DEFAULT_TAXI_COLUMNS) and not (
             set(given) <= set(DEFAULT_TAXI_COLUMNS)
@@ -169,19 +171,19 @@ class TaxiConfig:
         columns.update(given)
         bbox = obj.get("bbox", {})
         if isinstance(bbox, Mapping):
-            box = (
-                float(bbox.get("lon_min", -74.3)),
-                float(bbox.get("lon_max", -73.6)),
-                float(bbox.get("lat_min", 40.4)),
-                float(bbox.get("lat_max", 41.0)),
-            )
-        else:
+            bbox = [bbox.get(k, d) for k, d in zip(("lon_min", "lon_max", "lat_min", "lat_max"), cls.bbox)]
+        try:
             box = tuple(float(v) for v in bbox)
+            tip_threshold = float(obj.get("tip_threshold", cls.tip_threshold))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"taxi bbox and tip_threshold must be numbers: {exc}") from None
+        if len(box) != 4:
+            raise ConfigError(f"taxi bbox: expected lon_min, lon_max, lat_min, lat_max, got {bbox!r}")
         return cls(
             columns=columns,
             bbox=box,
             card_values=tuple(obj.get("card_values", ("CRD",))),
-            tip_threshold=float(obj.get("tip_threshold", 0.2)),
+            tip_threshold=tip_threshold,
         )
 
 

@@ -56,13 +56,6 @@ class RepairSpec:
     def to_json_obj(self) -> dict:
         return {"x": self.x, "y": self.y, "z": list(self.z)}
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "RepairSpec":
-        try:
-            return cls(obj["x"], obj["y"], tuple(obj.get("z", ())))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed repair spec: {exc}") from None
-
 
 @dataclass(frozen=True)
 class FractionalRepairResult:
@@ -274,10 +267,7 @@ def random_x_baseline(h: Histogram, spec: RepairSpec, seed: int) -> Histogram:
         return h
     probs = [x_marg[(lbl,)] / h.total for lbl in labels]
 
-    rest: dict[BucketKey, int] = {}
-    for key, c in h.items():
-        r = key[:ix] + key[ix + 1 :]
-        rest[r] = rest.get(r, 0) + c
+    rest = marginalize(h, [a for a in schema.names if a != spec.x]).counts
 
     rng = substream(seed, "random-x")
     out: dict[BucketKey, int] = {}

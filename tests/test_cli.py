@@ -279,25 +279,41 @@ def synth_release_argv(tmp_path):
     return release_argv(tmp_path, input=None, schema=None, synth=synth)
 
 
-def taxi_ingest_argv(tmp_path):
+def taxi_ingest_argv(tmp_path, **fields):
     path = tmp_path / "ingest.json"
-    path.write_text(json.dumps({"kind": "taxi"}))
+    path.write_text(json.dumps({"kind": "taxi", **fields}))
     return ["ingest", "--config", str(path)]
+
+
+def taxi_config_argv(tmp_path, **fields):
+    """A taxi ingest of one valid trip, with the given config fields."""
+    trip = {
+        "pickup_datetime": "2013-01-11 08:15:00", "pickup_longitude": "-74.0", "pickup_latitude": "40.7",
+        "dropoff_longitude": "-73.9", "dropoff_latitude": "40.8", "trip_distance": "2.0",
+        "fare_amount": "10.0", "tip_amount": "2.0", "payment_type": "CRD", "hack_license": "d1",
+    }
+    (tmp_path / "trips.csv").write_text(",".join(trip) + "\n" + ",".join(trip.values()) + "\n")
+    return taxi_ingest_argv(tmp_path, trips_csv="trips.csv", **fields)
 
 
 def sweep_argv(tmp_path):
     return ["sweep", *release_argv(tmp_path)[1:], "--epsilons", "x", "--rhos", "0.5"]
 
 
-def repair_argv_with_count(tmp_path, raw):
+def repair_argv(tmp_path, spec):
     write_small_input(tmp_path)
-    (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
-    spec = tmp_path / "repair.json"
-    spec.write_text(json.dumps({"x": "gender", "y": "rating", "z": ["origin"]}))
+    path = tmp_path / "repair.json"
+    path.write_text(json.dumps(spec))
     return [
-        "repair", "--config", str(spec), "--schema", str(tmp_path / "schema.json"),
+        "repair", "--config", str(path), "--schema", str(tmp_path / "schema.json"),
         "--input", str(tmp_path / "input.csv"),
     ]
+
+
+def repair_argv_with_count(tmp_path, raw):
+    argv = repair_argv(tmp_path, {"x": "gender", "y": "rating", "z": ["origin"]})
+    (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
+    return argv
 
 
 def privatize_argv(tmp_path, privacy):
@@ -320,6 +336,19 @@ MALFORMED_INPUTS = {
     "one-bootstrap-replicate": (lambda t: release_argv(t, bootstrap={"replicates": 1}), 2),
     "nan-count": (lambda t: repair_argv_with_count(t, "nan"), 3),
     "inf-count": (lambda t: repair_argv_with_count(t, "inf"), 3),
+    "n-nan": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.nan}), 2),
+    "n-fractional": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": 7.5}), 2),
+    "n-infinite": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.inf}), 2),
+    "n-beyond-int64": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": 1e30}), 2),
+    "bootstrap-a-list": (lambda t: release_argv(t, bootstrap=[1]), 2),
+    "taxi-bbox-not-a-number": (lambda t: taxi_config_argv(t, bbox={"lon_min": "west"}), 2),
+    "taxi-bbox-three-values": (lambda t: taxi_config_argv(t, bbox=[-74.3, -73.6, 40.4]), 2),
+    "taxi-tip-threshold-not-a-number": (lambda t: taxi_config_argv(t, tip_threshold="high"), 2),
+    "taxi-columns-not-an-object": (lambda t: taxi_config_argv(t, columns=["pickup_datetime"]), 2),
+    "repair-spec-without-x": (lambda t: release_argv(t, repair={"y": "rating", "z": ["origin"]}), 2),
+    "repair-spec-x-equals-y": (lambda t: repair_argv(t, {"x": "rating", "y": "rating"}), 2),
+    "repair-z-a-string": (lambda t: release_argv(t, repair={"x": "gender", "y": "rating", "z": "origin"}), 2),
+    "repair-unknown-attribute": (lambda t: repair_argv(t, {"x": "colour", "y": "rating"}), 3),
 }
 
 
