@@ -1,9 +1,10 @@
 """Sparse categorical histograms over declared attribute domains.
 
-A histogram stores only its active domain (buckets with nonzero count).
-The global domain, the full cross product of the attribute domains, lives
-in the schema and is consulted for validation, bucket indexing, and the
-out-of-active-domain machinery in the privacy module.
+A histogram stores only its active domain (buckets with nonzero count), as
+sorted row-major bucket codes plus counts.  The global domain, the full cross
+product of the attribute domains, lives in the schema and is consulted for
+validation, bucket coding, and the out-of-active-domain machinery in the
+privacy module.  Ties broken by key use lex_rank, never the code order.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError, EmptyInputError, SchemaError
 
 BucketKey = tuple[str, ...]
 
-_MAX_GLOBAL_SIZE = 2**63
+_INT64_LIMIT = 2**63
 _COUNT_COLUMN = "count"
 
 
@@ -46,7 +49,7 @@ class AttributeSchema:
             if len(set(domain)) != len(domain):
                 raise SchemaError(f"attribute {name!r} has duplicate labels")
             size *= len(domain)
-            if size >= _MAX_GLOBAL_SIZE:
+            if size >= _INT64_LIMIT:
                 raise SchemaError("global bucket space does not fit in 63 bits")
 
     @cached_property
@@ -62,12 +65,26 @@ class AttributeSchema:
         return math.prod(len(domain) for domain in self.domains)
 
     @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(domain) for domain in self.domains)
+
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """Row-major place value of each attribute's label position in a bucket code."""
+        return np.array([math.prod(self.shape[i + 1 :]) for i in range(len(self.shape))], dtype=np.int64)
+
+    @cached_property
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
     def _label_indexes(self) -> tuple[dict[str, int], ...]:
         return tuple({label: i for i, label in enumerate(domain)} for domain in self.domains)
+
+    @cached_property
+    def _label_ranks(self) -> tuple[np.ndarray, ...]:
+        """Each label position's rank among the attribute's labels sorted lexicographically."""
+        return tuple(np.argsort(sorted(range(len(d)), key=d.__getitem__)) for d in self.domains)
 
     def position(self, name: str) -> int:
         try:
@@ -87,26 +104,38 @@ class AttributeSchema:
                 raise SchemaError(f"label {label!r} not in domain of attribute {name!r}")
         return key
 
+    def encode(self, keys: Iterable[Sequence[str]]) -> np.ndarray:
+        """Row-major codes of bucket keys; a key outside the schema is a SchemaError."""
+        indexes = self._label_indexes
+        positions = [[labels[label] for label, labels in zip(self.validate_key(key), indexes)] for key in keys]
+        return np.array(positions, dtype=np.int64).reshape(-1, len(self.names)) @ self.strides
+
+    def label_positions(self, codes) -> np.ndarray:
+        """The (bucket, attribute) label positions of row-major bucket codes."""
+        return np.asarray(codes, dtype=np.int64)[:, None] // self.strides % np.array(self.shape, dtype=np.int64)
+
+    def keys_at(self, codes) -> list[BucketKey]:
+        """Bucket keys of row-major codes."""
+        positions = self.label_positions(codes)
+        columns = [np.array(domain, dtype=object)[positions[:, i]] for i, domain in enumerate(self.domains)]
+        return list(zip(*columns)) if columns else [()] * len(positions)
+
+    def lex_rank(self, codes) -> np.ndarray:
+        """A number per bucket code that sorts like the bucket keys do, lexicographically."""
+        positions = self.label_positions(codes)
+        for i, rank in enumerate(self._label_ranks):
+            positions[:, i] = rank[positions[:, i]]
+        return positions @ self.strides
+
     def index_of(self, key: Sequence[str]) -> int:
         """Row-major index of a bucket key within the global domain."""
-        idx = 0
-        for label, domain, labels in zip(key, self.domains, self._label_indexes):
-            try:
-                pos = labels[label]
-            except KeyError:
-                raise SchemaError(f"label {label!r} not in domain") from None
-            idx = idx * len(domain) + pos
-        return idx
+        return int(self.encode([key])[0])
 
     def key_at(self, index: int) -> BucketKey:
         """Inverse of index_of."""
         if not 0 <= index < self.global_size:
             raise SchemaError(f"bucket index {index} out of range")
-        out = []
-        for domain in reversed(self.domains):
-            index, pos = divmod(index, len(domain))
-            out.append(domain[pos])
-        return tuple(reversed(out))
+        return self.keys_at([index])[0]
 
     def subset(self, names: Sequence[str]) -> "AttributeSchema":
         """Schema restricted to the given attributes, in the given order."""
@@ -134,76 +163,100 @@ class AttributeSchema:
 class Histogram:
     """Immutable map from bucket keys to positive counts.
 
-    Integer mode holds raw trip counts; fractional mode holds the real-valued
-    intermediates produced by repair and noising.  Zero counts are dropped at
-    construction so the stored support is always the active domain.
+    Integer mode holds raw trip counts (int64, totalling less than 2**63);
+    fractional mode holds the real-valued intermediates produced by repair and
+    noising.  `codes` holds the active buckets' codes in ascending order and
+    `counts` their counts; zero counts are dropped at construction.
     """
 
-    __slots__ = ("schema", "integral", "_counts", "_total")
+    __slots__ = ("schema", "integral", "codes", "counts", "total")
 
     def __init__(self, schema: AttributeSchema, counts: Mapping[BucketKey, float], integral: bool = True):
-        store: dict[BucketKey, float] = {}
+        codes = schema.encode(counts)
+        values = []
         for key, value in counts.items():
-            key = schema.validate_key(key)
-            if value == 0:
-                continue
             if not -math.inf < value < math.inf:  # NaN fails both comparisons
-                raise DataError(f"non-finite count {value!r} for bucket {key!r}")
+                raise DataError(f"non-finite count {value!r} for bucket {tuple(key)!r}")
             if value < 0:
-                raise DataError(f"negative count {value!r} for bucket {key!r}")
-            if integral:
-                if int(value) != value:
-                    raise DataError(f"non-integer count {value!r} in integer mode")
-                store[key] = int(value)
-            else:
-                store[key] = float(value)
-        self.schema = schema
-        self.integral = integral
-        self._counts = store
-        self._total = sum(store.values()) if integral else math.fsum(store.values())
+                raise DataError(f"negative count {value!r} for bucket {tuple(key)!r}")
+            if integral and int(value) != value:
+                raise DataError(f"non-integer count {value!r} in integer mode")
+            values.append(int(value) if integral else float(value))
+        self._store(schema, codes, values, integral)
 
-    @property
-    def total(self) -> float:
-        return self._total
+    @classmethod
+    def from_codes(cls, schema: AttributeSchema, codes, counts, integral: bool = True) -> "Histogram":
+        """Histogram of distinct row-major bucket codes, in any order, and their counts."""
+        h = cls.__new__(cls)
+        h._store(schema, np.asarray(codes, dtype=np.int64), counts, integral)
+        return h
+
+    def _store(self, schema: AttributeSchema, codes: np.ndarray, counts, integral: bool) -> None:
+        try:
+            counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)
+        except OverflowError:
+            raise DataError("a count does not fit in a 64-bit integer") from None
+        nonzero = counts != 0
+        order = np.argsort(codes[nonzero])
+        self.schema, self.integral = schema, integral
+        self.codes, self.counts = codes[nonzero][order], counts[nonzero][order]
+        if not np.all(np.isfinite(self.counts) & (self.counts > 0)):
+            raise DataError("counts must be finite and nonnegative")
+        values = self.counts.tolist()
+        self.total = sum(values) if integral else math.fsum(values)
+        if integral and self.total >= _INT64_LIMIT:
+            raise DataError(f"integer counts total {self.total}, more than a 64-bit integer holds")
+        self.codes.flags.writeable = self.counts.flags.writeable = False
+
+    def counts_at(self, codes) -> np.ndarray:
+        """Counts of the buckets with the given codes, 0 where a bucket is not active."""
+        at = np.searchsorted(self.codes, codes)  # len(self.codes) past the last: a sentinel
+        hit = np.append(self.codes, -1)[at] == codes
+        return np.where(hit, np.append(self.counts, 0)[at], 0)
 
     def get(self, key: Sequence[str], default=0):
-        return self._counts.get(tuple(key), default)
+        try:
+            count = self.counts_at([self.schema.index_of(key)])[0].item()
+        except SchemaError:
+            return default
+        return count if count else default  # active counts are positive
 
     def __getitem__(self, key: Sequence[str]):
-        key = self.schema.validate_key(key)
-        return self._counts.get(key, 0)
+        return self.get(self.schema.validate_key(key))
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self.codes)
 
     def __contains__(self, key) -> bool:
-        return tuple(key) in self._counts
+        return self.get(key, None) is not None
 
     def __iter__(self) -> Iterator[BucketKey]:
-        return iter(self._counts)
+        return iter(self.keys())
 
-    def keys(self):
-        return self._counts.keys()
+    def keys(self) -> list[BucketKey]:
+        """Active bucket keys in code order."""
+        return self.schema.keys_at(self.codes)
 
-    def items(self):
-        return self._counts.items()
+    def items(self) -> list[tuple[BucketKey, float]]:
+        return list(zip(self.keys(), self.counts.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return (
-            self.schema == other.schema
-            and self.integral == other.integral
-            and self._counts == other._counts
-        )
+        same_space = self.schema == other.schema and self.integral == other.integral
+        return same_space and np.array_equal(self.codes, other.codes) and np.array_equal(self.counts, other.counts)
 
     def __repr__(self) -> str:
         mode = "int" if self.integral else "frac"
-        return f"Histogram({len(self._counts)} buckets, total={self._total}, {mode})"
+        return f"Histogram({len(self)} buckets, total={self.total}, {mode})"
+
+    def ranking(self) -> np.ndarray:
+        """Bucket positions in (count desc, key lexicographic asc) order."""
+        return np.lexsort((self.schema.lex_rank(self.codes), -self.counts))
 
     def canonical_order(self) -> list[BucketKey]:
         """Buckets sorted by (count desc, key lexicographic asc)."""
-        return sorted(self._counts, key=lambda k: (-self._counts[k], k))
+        return self.schema.keys_at(self.codes[self.ranking()])
 
 
 @dataclass(frozen=True)
@@ -221,16 +274,38 @@ class Marginal:
         return self.counts.get(tuple(key), default)
 
 
-def marginalize(h: Histogram, attrs: Sequence[str]) -> Marginal:
-    """Project a histogram onto `attrs` and sum counts (group-by semantics)."""
+class Groups(NamedTuple):
+    """A histogram's buckets grouped by their labels on some attributes: the
+    groups' codes over those attributes (`schema`), ascending, one member
+    bucket of each group, and each bucket's group."""
+
+    schema: AttributeSchema
+    codes: np.ndarray
+    first: np.ndarray
+    index: np.ndarray
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sums of per-bucket values, each group's added in bucket-code order."""
+        out = np.zeros(len(self.codes), dtype=values.dtype)
+        np.add.at(out, self.index, values)
+        return out
+
+
+def bucket_groups(h: Histogram, attrs: Sequence[str]) -> Groups:
+    """Group the active buckets of h by their labels on `attrs`."""
     if len(set(attrs)) != len(attrs):
         raise SchemaError(f"duplicate attributes in projection: {list(attrs)}")
-    positions = tuple(h.schema.position(a) for a in attrs)
-    out: dict[BucketKey, float] = {}
-    for key, c in h.items():
-        sub = tuple(key[i] for i in positions)
-        out[sub] = out.get(sub, 0) + c
-    return Marginal(tuple(attrs), out)
+    schema = h.schema.subset(attrs)
+    positions = h.schema.label_positions(h.codes)[:, [h.schema.position(a) for a in attrs]]
+    codes, first, index = np.unique(positions @ schema.strides, return_index=True, return_inverse=True)
+    return Groups(schema, codes, first, index)
+
+
+def marginalize(h: Histogram, attrs: Sequence[str]) -> Marginal:
+    """Project a histogram onto `attrs` and sum counts (group-by semantics)."""
+    groups = bucket_groups(h, attrs)
+    counts = groups.sum(h.counts).tolist()
+    return Marginal(tuple(attrs), dict(zip(groups.schema.keys_at(groups.codes), counts)))
 
 
 def normalize(h: Histogram) -> dict[BucketKey, float]:
@@ -243,8 +318,8 @@ def normalize(h: Histogram) -> dict[BucketKey, float]:
 
 def group_by(h: Histogram, keep: Sequence[str]) -> Histogram:
     """New histogram over only the `keep` attributes; counts are summed."""
-    counts = marginalize(h, keep).counts
-    return Histogram(h.schema.subset(keep), counts, integral=h.integral)
+    groups = bucket_groups(h, keep)
+    return Histogram.from_codes(groups.schema, groups.codes, groups.sum(h.counts), integral=h.integral)
 
 
 def check_same_schema(h1: Histogram, h2: Histogram) -> None:
@@ -252,20 +327,28 @@ def check_same_schema(h1: Histogram, h2: Histogram) -> None:
         raise SchemaError("histograms have different schemas")
 
 
+def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the union of both active domains in the reference ranking,
+    (reference count desc, key asc), with each histogram's counts there."""
+    check_same_schema(reference, other)
+    codes = np.union1d(reference.codes, other.codes)
+    ref, oth = reference.counts_at(codes), other.counts_at(codes)
+    order = np.lexsort((reference.schema.lex_rank(codes), -ref))
+    return codes[order], ref[order], oth[order]
+
+
 def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:
     """Union of both active domains, ordered by (h1 count desc, key asc)."""
-    check_same_schema(h1, h2)
-    keys = set(h1.keys()) | set(h2.keys())
-    return sorted(keys, key=lambda k: (-h1.get(k, 0), k))
+    return h1.schema.keys_at(align(h1, h2)[0])
 
 
 def merge(h1: Histogram, h2: Histogram) -> Histogram:
     """Bucketwise sum of two histograms over the same schema."""
     check_same_schema(h1, h2)
-    out = dict(h1.items())
-    for key, c in h2.items():
-        out[key] = out.get(key, 0) + c
-    return Histogram(h1.schema, out, integral=h1.integral and h2.integral)
+    codes, index = np.unique(np.concatenate([h1.codes, h2.codes]), return_inverse=True)
+    counts = np.zeros(len(codes), dtype=np.result_type(h1.counts, h2.counts))
+    np.add.at(counts, index, np.concatenate([h1.counts, h2.counts]))
+    return Histogram.from_codes(h1.schema, codes, counts, integral=h1.integral and h2.integral)
 
 
 def write_histogram_csv(h: Histogram, path) -> None:
@@ -277,9 +360,10 @@ def write_histogram_csv(h: Histogram, path) -> None:
     with open(path, "w", newline="", encoding="utf8") as f:
         writer = csv.writer(f)
         writer.writerow(list(h.schema.names) + [_COUNT_COLUMN])
-        for key in h.canonical_order():
-            c = h.get(key)
-            writer.writerow(list(key) + [str(c) if h.integral else f"{c:.9f}"])
+        order = h.ranking()
+        fmt = str if h.integral else "{:.9f}".format
+        for key, c in zip(h.schema.keys_at(h.codes[order]), h.counts[order].tolist()):
+            writer.writerow([*key, fmt(c)])
 
 
 def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:

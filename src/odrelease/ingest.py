@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, BucketKey, Histogram, normalize
+from .histogram import AttributeSchema, BucketKey, Histogram
 from .rng import substream
 
 TIME_BUCKETS = ("morning", "day", "evening", "night")
@@ -473,14 +473,14 @@ def synth_generate(cfg: SynthConfig) -> Histogram:
     Deterministic given cfg.seed.  The output schema is the od_seed's two
     attributes followed by gender and rating.
     """
-    if cfg.od_seed.total <= 0:
+    od = cfg.od_seed
+    if od.total <= 0:
         raise EmptyInputError("od_seed histogram is empty")
-    od_probs = normalize(cfg.od_seed)
-    od_keys = sorted(od_probs)
-    p = np.array([od_probs[k] for k in od_keys])
+    order = np.argsort(od.schema.lex_rank(od.codes))  # OD pairs in key order
+    od_codes, p = od.codes[order], od.counts[order] / od.total
 
     rng = substream(cfg.seed, "synth")
-    od_idx = rng.choice(len(od_keys), size=cfg.trips, p=p)
+    od_idx = rng.choice(len(od_codes), size=cfg.trips, p=p)
     gender_idx = rng.integers(0, len(cfg.gender_domain), size=cfg.trips)
     if cfg.mode == "uncorrelated":
         rating_idx = rng.choice(len(cfg.rating_domain), size=cfg.trips, p=cfg.rating_distributions)
@@ -492,22 +492,15 @@ def synth_generate(cfg: SynthConfig) -> Histogram:
                 len(cfg.rating_domain), size=int(mask.sum()), p=cfg.rating_distributions[g]
             )
 
-    stacked = np.stack([od_idx, gender_idx, rating_idx], axis=1)
-    uniq, freq = np.unique(stacked, axis=0, return_counts=True)
-    counts: dict[BucketKey, int] = {}
-    for (oi, gi, ri), c in zip(uniq, freq):
-        key = (*od_keys[int(oi)], cfg.gender_domain[int(gi)], cfg.rating_domain[int(ri)])
-        counts[key] = int(c)
-
-    od_schema = cfg.od_seed.schema
     schema = AttributeSchema(
         (
-            *od_schema.attributes,
+            *od.schema.attributes,
             ("gender", cfg.gender_domain),
             ("rating", cfg.rating_domain),
         )
     )
-    return Histogram(schema, counts)
+    codes = (od_codes[od_idx] * len(cfg.gender_domain) + gender_idx) * len(cfg.rating_domain) + rating_idx
+    return Histogram.from_codes(schema, *np.unique(codes, return_counts=True))
 
 
 def synthetic_od_seed(
@@ -534,9 +527,4 @@ def synthetic_od_seed(
     draws = rng.multinomial(total, weights / weights.sum())
 
     schema = AttributeSchema((("origin", labels), ("destination", labels)))
-    counts: dict[BucketKey, int] = {}
-    for idx, c in zip(flat, draws):
-        if c:
-            o, d = divmod(int(idx), n_neighborhoods)
-            counts[(labels[o], labels[d])] = int(c)
-    return Histogram(schema, counts)
+    return Histogram.from_codes(schema, flat, draws)  # flat is the row-major code of each pair

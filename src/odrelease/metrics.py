@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError
-from .histogram import BucketKey, Histogram, check_same_schema, support_union
+from .histogram import Histogram, align, check_same_schema
 from .rng import substream
 
 METRIC_IDS = ("pwkt", "hellinger")
@@ -96,19 +96,12 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
     return smaller
 
 
-def _key_ranks(keys: Sequence[BucketKey]) -> np.ndarray:
-    """Each key's position when `keys` are sorted lexicographically."""
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    return ranks
-
-
 def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
     """Positions in the `other` ranking of the items in reference order.
 
     Both rankings sort by (count descending, key ascending).  The items are
     given in reference ranking order, so only the other ranking needs
-    sorting; key_rank gives each item's lexicographic rank among the keys.
+    sorting; key_rank sorts the items like their keys do.
     """
     sigma = np.empty(len(other_counts), dtype=np.int64)
     sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, len(other_counts) + 1)
@@ -133,10 +126,6 @@ def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting
     return 0.5 * math.fsum((weights * participation).tolist())
 
 
-def _counts_over(h: Histogram, keys: Sequence[BucketKey]) -> np.ndarray:
-    return np.array([h.get(k, 0) for k in keys], dtype=float)
-
-
 def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") -> float:
     """Position-weighted Kendall's tau between the two bucket rankings.
 
@@ -145,8 +134,8 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     the average of the harmonic weights of its two reference positions, so
     disagreement near the top of the reference ranking dominates.
     """
-    keys = support_union(reference, other)  # the reference ranking
-    return _pwkt_from_vectors(_counts_over(other, keys), _key_ranks(keys), weighting)
+    codes, _, other_counts = align(reference, other)
+    return _pwkt_from_vectors(other_counts, reference.schema.lex_rank(codes), weighting)
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -159,8 +148,8 @@ def hellinger(h1: Histogram, h2: Histogram) -> float:
     check_same_schema(h1, h2)
     if h1.total <= 0 or h2.total <= 0:
         raise EmptyInputError("Hellinger distance of an empty histogram")
-    keys = support_union(h1, h2)
-    return _hellinger_from_vectors(_counts_over(h1, keys) / h1.total, _counts_over(h2, keys) / h2.total)
+    _, p, q = align(h1, h2)
+    return _hellinger_from_vectors(p / h1.total, q / h2.total)
 
 
 MetricFn = Callable[[Histogram, Histogram], float]
@@ -197,12 +186,11 @@ def bootstrap_distances(
         raise ConfigError(f"need at least 2 replicates, got {replicates!r}")
     resolved = {name: _resolve_metric(metric) for name, metric in metrics.items()}
 
-    keys = h.canonical_order()
-    counts = _counts_over(h, keys)
+    order = h.ranking()  # the reference ranking: (count desc, key asc)
+    codes, counts = h.codes[order], h.counts[order].astype(float)
     total = int(h.total)
     probs = counts / counts.sum()
-    # canonical order is (count desc, key asc): the reference ranking itself
-    key_rank = _key_ranks(keys)
+    key_rank = h.schema.lex_rank(codes)
 
     out = {name: np.empty(replicates) for name in resolved}
     for r in range(replicates):
@@ -215,8 +203,7 @@ def bootstrap_distances(
                 out[name][r] = _hellinger_from_vectors(probs, sample / total)
             else:
                 if replicate_hist is None:
-                    nonzero = {keys[i]: int(sample[i]) for i in np.flatnonzero(sample)}
-                    replicate_hist = Histogram(h.schema, nonzero, integral=True)
+                    replicate_hist = Histogram.from_codes(h.schema, codes, sample)
                 out[name][r] = metric(h, replicate_hist)
     return out
 

@@ -140,7 +140,12 @@ def complement_sample(
     k: int,
     rng: np.random.Generator,
 ) -> list[BucketKey]:
-    """k distinct bucket keys drawn uniformly from outside the active domain.
+    """k distinct bucket keys drawn uniformly from outside the active domain."""
+    return schema.keys_at(_complement_codes(schema, schema.encode(active), k, rng))
+
+
+def _complement_codes(schema: AttributeSchema, active: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct bucket codes drawn uniformly from outside the `active` codes.
 
     Rejection-samples global bucket indexes while the complement is large
     (the usual sparse regime); enumerates the complement outright when it is
@@ -149,31 +154,25 @@ def complement_sample(
     if k < 0:
         raise ConfigError(f"k must be nonnegative, got {k!r}")
     if k == 0:
-        return []
-    active_idx = {schema.index_of(key) for key in active}
+        return np.empty(0, dtype=np.int64)
+    seen = set(active.tolist())
     total = schema.global_size
-    complement = total - len(active_idx)
+    complement = total - len(seen)
     if k > complement:
         raise DataError(f"cannot sample {k} keys from a complement of size {complement}")
 
     if complement < 2 * k:
-        pool = [i for i in range(total) if i not in active_idx]
-        chosen = rng.choice(len(pool), size=k, replace=False)
-        picked = [pool[int(i)] for i in chosen]
-    else:
-        picked = []
-        seen = set(active_idx)
-        while len(picked) < k:
-            batch = rng.integers(0, total, size=2 * (k - len(picked)))
-            for idx in batch:
-                idx = int(idx)
-                if idx in seen:
-                    continue
+        pool = np.setdiff1d(np.arange(total, dtype=np.int64), active)
+        return pool[rng.choice(len(pool), size=k, replace=False)]
+    picked = []
+    while len(picked) < k:
+        for idx in rng.integers(0, total, size=2 * (k - len(picked))).tolist():
+            if idx not in seen:
                 seen.add(idx)
                 picked.append(idx)
                 if len(picked) == k:
                     break
-    return [schema.key_at(i) for i in picked]
+    return np.array(picked, dtype=np.int64)
 
 
 def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
@@ -188,30 +187,26 @@ def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
         raise DataError("privatize expects an integer-mode histogram")
     schema = h.schema
     eps, tau, n = params.epsilon, params.tau, params.n
-    active = h.canonical_order()
-
-    kept: dict[BucketKey, float] = {}
-    retained = suppressed = 0
-    for i, key in enumerate(active):
-        noised = laplace_sample(float(h.get(key)), 1.0 / eps, substream(seed, "active", i))
-        if noised < tau:
-            suppressed += 1
-        else:
-            kept[key] = noised
-            retained += 1
+    order = h.ranking()
+    noised = np.array([
+        laplace_sample(float(c), 1.0 / eps, substream(seed, "active", i))
+        for i, c in enumerate(h.counts[order].tolist())
+    ])
+    kept = noised >= tau
+    codes, values = [h.codes[order][kept]], [noised[kept]]
 
     k = 0
     if n >= 1:
         k = binomial_sample(n, 0.5 * math.exp(-eps * tau), substream(seed, "spurious-count"))
-        spurious = complement_sample(schema, active, k, substream(seed, "spurious-keys"))
-        for j, key in enumerate(spurious):
-            kept[key] = tau + exponential_sample(1.0 / eps, substream(seed, "spurious-value", j))
+        codes.append(_complement_codes(schema, h.codes, k, substream(seed, "spurious-keys")))
+        values.append([tau + exponential_sample(1.0 / eps, substream(seed, "spurious-value", j)) for j in range(k)])
 
-    released = {key: max(1, round(v)) for key, v in kept.items()}
+    released = np.maximum(1, np.rint(np.concatenate(values)))
+    retained = int(np.count_nonzero(kept))
     return ReleaseResult(
-        histogram=Histogram(schema, released, integral=True),
+        histogram=Histogram.from_codes(schema, np.concatenate(codes), released),
         retained_active=retained,
-        suppressed_active=suppressed,
+        suppressed_active=len(h) - retained,
         spurious_added=k,
         seed=seed,
     )

@@ -7,8 +7,10 @@ the contingency-table marginals of the input:
 
     new(x,y,z,u) = C_xz(x,z) * C_yz(y,z) * c(x,y,z,u) / (C_z(z) * C_xyz(x,y,z))
 
-Because iteration runs over active buckets only, every marginal on the right
-is at least the bucket count itself and no division by zero can occur.
+Because the factorization runs over active buckets only, every marginal on
+the right is at least the bucket count itself and no division by zero can
+occur.  Marginals are group-by sums over bucket codes, added in code order,
+and integer counts enter every ratio as exact Python integers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, BucketKey, Histogram, marginalize
+import numpy as np
+
+from .histogram import AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
+from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
 from .rng import substream
 
 ROUNDING_MODES = ("largest_remainder", "half_even")
@@ -77,12 +82,14 @@ class ATEResult(NamedTuple):
     skipped_strata: int
 
 
-def _projection_tables(h: Histogram, spec: RepairSpec):
-    xz = marginalize(h, (spec.x, *spec.z)).counts
-    yz = marginalize(h, (spec.y, *spec.z)).counts
-    z = marginalize(h, spec.z).counts
-    xyz = marginalize(h, (spec.x, spec.y, *spec.z)).counts
-    return xz, yz, z, xyz
+def _margins(h: Histogram, spec: RepairSpec) -> tuple[list[np.ndarray], Groups]:
+    """Each bucket's count summed over its (x,z), (y,z), z and (x,y,z) groups,
+    as object arrays of Python numbers, and the (x,y,z) groups."""
+    sums = []
+    for attrs in ((spec.x, *spec.z), (spec.y, *spec.z), spec.z, (spec.x, spec.y, *spec.z)):
+        groups = bucket_groups(h, attrs)
+        sums.append(groups.sum(h.counts).astype(object)[groups.index])
+    return sums, groups
 
 
 def conditional_mutual_information(h: Histogram, spec: RepairSpec) -> float:
@@ -90,18 +97,17 @@ def conditional_mutual_information(h: Histogram, spec: RepairSpec) -> float:
 
     Computed as sum over (x,y,z) of p(x,y,z) * ln[p(z)p(x,y,z) / (p(x,z)p(y,z))],
     with the convention 0*ln(0/q) = 0.  Tiny negative totals from floating
-    point are clamped to zero.
+    point are clamped to zero.  Integer counts enter the ratio exactly.
     """
     spec.validate(h.schema)
     n = h.total
     if n <= 0:
         raise EmptyInputError("conditional mutual information of an empty histogram")
-    xz, yz, z, xyz = _projection_tables(h, spec)
-    terms = []
-    for key, c in xyz.items():
-        kx, ky, kz = key[0], key[1], key[2:]
-        terms.append((c / n) * math.log(z[kz] * c / (xz[(kx, *kz)] * yz[(ky, *kz)])))
-    return max(math.fsum(terms), 0.0)
+    (xz, yz, z, xyz), groups = _margins(h, spec)
+    first = groups.first
+    c = xyz[first]
+    ratios = z[first] * c / (xz[first] * yz[first])
+    return max(math.fsum((ci / n) * math.log(r) for ci, r in zip(c, ratios)), 0.0)
 
 
 def kl_divergence(h: Histogram, q: Histogram) -> float:
@@ -109,29 +115,15 @@ def kl_divergence(h: Histogram, q: Histogram) -> float:
 
     Returns inf when some active bucket of h has zero mass in q.
     """
-    if h.schema != q.schema:
-        raise SchemaError("histograms have different schemas")
+    check_same_schema(h, q)
     if h.total <= 0 or q.total <= 0:
         raise EmptyInputError("KL divergence of an empty histogram")
-    nh, nq = h.total, q.total
-    terms = []
-    for key, c in h.items():
-        qc = q.get(key)
-        if qc <= 0:
-            return math.inf
-        terms.append((c / nh) * math.log((c / nh) / (qc / nq)))
-    return math.fsum(terms)
-
-
-def _largest_remainder(values: dict[BucketKey, float]) -> dict[BucketKey, int]:
-    """Round a group so the rounded sum equals round(sum of values)."""
-    target = round(math.fsum(values.values()))
-    floors = {key: math.floor(v) for key, v in values.items()}
-    short = target - sum(floors.values())
-    by_remainder = sorted(values, key=lambda k: (-(values[k] - floors[k]), k))
-    for key in by_remainder[:short]:
-        floors[key] += 1
-    return floors
+    qc = q.counts_at(h.codes)
+    if np.any(qc <= 0):
+        return math.inf
+    p = h.counts.astype(object) / h.total
+    ratios = p / (qc.astype(object) / q.total)
+    return math.fsum(pi * math.log(r) for pi, r in zip(p, ratios))
 
 
 def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") -> FractionalRepairResult:
@@ -140,8 +132,10 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     The fractional result applies the factorization above to every active
     bucket.  The rounded result integerizes it: by default with largest
     remainder rounding inside each (x, y, z) group, which preserves each
-    group's total mass; `rounding="half_even"` instead rounds each bucket
-    independently.  Buckets that round to zero are dropped.
+    group's total mass (round of its exact sum), the largest remainders
+    rounding up first and ties going to the lexicographically smaller key;
+    `rounding="half_even"` instead rounds each bucket independently.
+    Buckets that round to zero are dropped.
     """
     if rounding not in ROUNDING_MODES:
         raise DataError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
@@ -149,28 +143,23 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     if h.total <= 0:
         raise EmptyInputError("cannot repair an empty histogram")
     schema = h.schema
-    ix = schema.position(spec.x)
-    iy = schema.position(spec.y)
-    iz = tuple(schema.position(a) for a in spec.z)
-    xz, yz, z, xyz = _projection_tables(h, spec)
+    (xz, yz, z, xyz), groups = _margins(h, spec)
+    frac = (h.counts.astype(object) * xz * yz / (z * xyz)).astype(float)
+    fractional = Histogram.from_codes(schema, h.codes, frac, integral=False)
 
-    frac: dict[BucketKey, float] = {}
-    groups: dict[BucketKey, dict[BucketKey, float]] = {}
-    for key, c in h.items():
-        kz = tuple(key[i] for i in iz)
-        gkey = (key[ix], key[iy], *kz)
-        value = c * xz[(key[ix], *kz)] * yz[(key[iy], *kz)] / (z[kz] * xyz[gkey])
-        frac[key] = value
-        groups.setdefault(gkey, {})[key] = value
-
-    fractional = Histogram(schema, frac, integral=False)
     if rounding == "largest_remainder":
-        rounded_counts: dict[BucketKey, int] = {}
-        for members in groups.values():
-            rounded_counts.update(_largest_remainder(members))
+        floors = np.floor(frac)
+        order = np.lexsort((schema.lex_rank(h.codes), floors - frac, groups.index))  # remainder desc, then key
+        group_of = groups.index[order]
+        starts = np.searchsorted(group_of, np.arange(len(groups.codes)))
+        ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]
+        targets = np.array([round(math.fsum(ordered[a:b])) for a, b in zip(bounds, bounds[1:])])
+        short = targets - groups.sum(floors.astype(np.int64))
+        rounded_counts = floors.astype(np.int64)
+        rounded_counts[order] += np.arange(len(order)) - starts[group_of] < short[group_of]
     else:
-        rounded_counts = {key: round(v) for key, v in frac.items()}
-    rounded = Histogram(schema, rounded_counts, integral=True)
+        rounded_counts = np.rint(frac)
+    rounded = Histogram.from_codes(schema, h.codes, rounded_counts)
 
     cmi_before = conditional_mutual_information(h, spec)
     cmi_after = conditional_mutual_information(fractional, spec)
@@ -201,48 +190,35 @@ def average_treatment_effect(
     if h.total <= 0:
         raise EmptyInputError("average treatment effect of an empty histogram")
     schema = h.schema
-    ix = schema.position(spec.x)
-    iy = schema.position(spec.y)
-    iz = tuple(schema.position(a) for a in spec.z)
+    x_domain, y_domain = schema.domain(spec.x), schema.domain(spec.y)
+    positions = schema.label_positions(h.codes)
+    x_pos, y_pos = positions[:, schema.position(spec.x)], positions[:, schema.position(spec.y)]
 
-    observed_x = sorted({key[ix] for key in h.keys()})
+    observed_x = sorted(x_domain[i] for i in np.unique(x_pos).tolist())
     if len(observed_x) != 2:
         raise DataError(f"treatment attribute {spec.x!r} must have exactly two observed labels, got {observed_x}")
     if {x1, x0} != set(observed_x):
         raise DataError(f"designated levels ({x1!r}, {x0!r}) do not match observed labels {observed_x}")
 
-    missing = {key[iy] for key in h.keys()} - set(outcome_coding)
+    missing = {y_domain[i] for i in np.unique(y_pos).tolist()} - set(outcome_coding)
     if missing:
         raise DataError(f"outcome coding missing labels: {sorted(missing)}")
 
     # per-stratum treated/control mass and coded outcome sums
-    mass: dict[BucketKey, dict[str, float]] = {}
-    coded: dict[BucketKey, dict[str, float]] = {}
-    z_total: dict[BucketKey, float] = {}
-    for key, c in h.items():
-        kz = tuple(key[i] for i in iz)
-        kx = key[ix]
-        z_total[kz] = z_total.get(kz, 0) + c
-        if kx in (x1, x0):
-            mass.setdefault(kz, {}).setdefault(kx, 0)
-            coded.setdefault(kz, {}).setdefault(kx, 0.0)
-            mass[kz][kx] += c
-            coded[kz][kx] += c * outcome_coding[key[iy]]
-
-    skipped = 0
-    weighted = 0.0
-    included_mass = 0.0
-    for kz in sorted(z_total):
-        m = mass.get(kz, {})
-        if m.get(x1, 0) <= 0 or m.get(x0, 0) <= 0:
-            skipped += 1
-            continue
-        diff = coded[kz][x1] / m[x1] - coded[kz][x0] / m[x0]
-        weighted += diff * z_total[kz]
-        included_mass += z_total[kz]
-    if included_mass <= 0:
+    strata = bucket_groups(h, spec.z)
+    coding = np.array([outcome_coding.get(label, 0.0) for label in y_domain], dtype=float)[y_pos]
+    sums = []
+    for level in (x1, x0):
+        mass = np.where(x_pos == x_domain.index(level), h.counts, 0)
+        sums.append((strata.sum(mass), strata.sum(mass * coding)))
+    (m1, y1), (m0, y0) = sums
+    overlap = (m1 > 0) & (m0 > 0)
+    if not overlap.any():
         raise DataError("no stratum satisfies overlap for the designated levels")
-    return ATEResult(weighted / included_mass, skipped)
+    diff = y1[overlap] / m1[overlap] - y0[overlap] / m0[overlap]
+    z_total = strata.sum(h.counts)[overlap]
+    ate = math.fsum((diff * z_total).tolist()) / math.fsum(z_total.tolist())
+    return ATEResult(ate, int(np.count_nonzero(~overlap)))
 
 
 def random_x_baseline(h: Histogram, spec: RepairSpec, seed: int) -> Histogram:
@@ -250,8 +226,9 @@ def random_x_baseline(h: Histogram, spec: RepairSpec, seed: int) -> Histogram:
 
     Trips are grouped by their non-X attributes; each group's trips draw new
     X labels independently from the global X marginal (one multinomial per
-    group, which is distributionally identical to per-trip sampling).  The
-    total count is preserved exactly.  Deterministic given the seed.
+    group, in key order, which is distributionally identical to per-trip
+    sampling).  The total count is preserved exactly.  Deterministic given
+    the seed.
     """
     spec.validate(h.schema)
     if not h.integral:
@@ -259,22 +236,16 @@ def random_x_baseline(h: Histogram, spec: RepairSpec, seed: int) -> Histogram:
     if h.total <= 0:
         raise EmptyInputError("cannot rebuild an empty histogram")
     schema = h.schema
-    ix = schema.position(spec.x)
-
-    x_marg = marginalize(h, (spec.x,)).counts
-    labels = [lbl for lbl in schema.domain(spec.x) if (lbl,) in x_marg]
-    if len(labels) == 1:
+    labels = bucket_groups(h, (spec.x,))  # group codes are the X label positions
+    if len(labels.codes) == 1:
         return h
-    probs = [x_marg[(lbl,)] / h.total for lbl in labels]
+    probs = (labels.sum(h.counts).astype(object) / h.total).tolist()
 
-    rest = marginalize(h, [a for a in schema.names if a != spec.x]).counts
-
-    rng = substream(seed, "random-x")
-    out: dict[BucketKey, int] = {}
-    for r in sorted(rest):
-        draw = rng.multinomial(rest[r], probs)
-        for lbl, c in zip(labels, draw):
-            if c:
-                key = r[:ix] + (lbl,) + r[ix:]
-                out[key] = out.get(key, 0) + int(c)
-    return Histogram(schema, out, integral=True)
+    rest = bucket_groups(h, [a for a in schema.names if a != spec.x])
+    order = np.argsort(rest.schema.lex_rank(rest.codes))
+    draws = substream(seed, "random-x").multinomial(rest.sum(h.counts)[order], probs)
+    ix = schema.position(spec.x)
+    stride = schema.strides[ix]
+    x_free = h.codes - schema.label_positions(h.codes)[:, ix] * stride  # codes with X at position 0
+    codes = x_free[rest.first[order], None] + labels.codes * stride
+    return Histogram.from_codes(schema, codes.ravel(), draws.ravel())

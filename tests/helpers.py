@@ -75,6 +75,33 @@ def random_full_support_case(rng, binary_xy=False, max_labels=5):
     return Histogram(schema, counts), spec
 
 
+def largest_remainder(values):
+    """Round a group so the rounded sum equals round(sum of values).
+
+    The floors are raised by one in order of decreasing remainder, ties
+    going to the lexicographically smaller key.
+    """
+    target = round(math.fsum(values.values()))
+    floors = {key: math.floor(v) for key, v in values.items()}
+    short = target - sum(floors.values())
+    by_remainder = sorted(values, key=lambda k: (-(values[k] - floors[k]), k))
+    for key in by_remainder[:short]:
+        floors[key] += 1
+    return floors
+
+
+def largest_remainder_repair(fractional, spec):
+    """The rounded repair of a fractional one, rounded group by (x, y, z) group."""
+    proj = [fractional.schema.position(a) for a in (spec.x, spec.y, *spec.z)]
+    groups = {}
+    for key, value in fractional.items():
+        groups.setdefault(tuple(key[i] for i in proj), {})[key] = value
+    rounded = {}
+    for members in groups.values():
+        rounded.update(largest_remainder(members))
+    return Histogram(fractional.schema, rounded)
+
+
 def ranking_of(h, union_keys):
     """Count-descending ranking over union_keys, ties broken by key."""
     return sorted(union_keys, key=lambda k: (-h.get(k, 0), k))

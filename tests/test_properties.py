@@ -1,6 +1,7 @@
 """Property tests against the brute-force oracles in helpers.py."""
 
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,18 +13,21 @@ from hypothesis import strategies as st
 from odrelease import (
     AttributeSchema,
     Histogram,
+    RepairSpec,
     bootstrap_distances,
+    conditional_mutual_information,
     group_by,
     hellinger,
     marginalize,
     pwkt,
     read_histogram_csv,
+    repair,
     support_union,
     write_histogram_csv,
 )
 from odrelease.ingest import _tenths_range, round_coordinate
 
-from helpers import pwkt_bruteforce, ranking_of
+from helpers import largest_remainder_repair, pwkt_bruteforce, ranking_of
 
 WEIGHTS = {"harmonic": lambda i: 1.0 / i, "exponential": lambda i: 0.5 ** (i - 1)}
 
@@ -124,3 +128,65 @@ def test_rounded_coordinates_lie_in_the_tenths_range(lo, width):
     assert labels[0] == round_coordinate(lo) and labels[-1] == round_coordinate(hi)
     mid = (lo + hi) / 2
     assert round_coordinate(mid) in labels
+
+
+@st.composite
+def repair_cases(draw, full_support=False):
+    """A histogram whose label domains are declared out of lexicographic order,
+    with a repair spec.  With full_support, every bucket of each active z
+    stratum is active, so the repair's marginal guarantees hold."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    domains = [draw(st.permutations([f"v{j}" for j in range(size)])) for size in sizes]
+    if all(list(d) == sorted(d) for d in domains):
+        domains[0] = domains[0][::-1]
+    schema = AttributeSchema(tuple((f"a{i}", tuple(d)) for i, d in enumerate(domains)))
+    names = draw(st.permutations(schema.names))
+    z = tuple(sorted(names[2 : 2 + draw(st.integers(0, len(names) - 2))]))
+    spec = RepairSpec(names[0], names[1], z)
+    keys = list(itertools.product(*schema.domains))
+    counts = draw(st.lists(st.integers(1 if full_support else 0, 4), min_size=len(keys), max_size=len(keys)))
+    if full_support:  # empty out whole z strata, keeping at least one
+        zi = [schema.position(a) for a in z]
+        strata = sorted({tuple(k[i] for i in zi) for k in keys})
+        dropped = set(draw(st.lists(st.sampled_from(strata), max_size=len(strata) - 1, unique=True)))
+        counts = [0 if tuple(k[i] for i in zi) in dropped else c for k, c in zip(keys, counts)]
+    h = Histogram(schema, dict(zip(keys, counts)))
+    assume(h.total > 0)
+    return h, spec
+
+
+@property_settings
+@given(repair_cases())
+def test_rounded_repair_matches_the_largest_remainder_oracle(case):
+    h, spec = case
+    result = repair(h, spec)
+    assert result.rounded == largest_remainder_repair(result.fractional, spec)
+    proj = [h.schema.position(a) for a in (spec.x, spec.y, *spec.z)]
+    frac_groups, rounded_groups = {}, {}
+    for key, value in result.fractional.items():
+        frac_groups.setdefault(tuple(key[i] for i in proj), []).append(value)
+    for key, value in result.rounded.items():
+        group = tuple(key[i] for i in proj)
+        rounded_groups[group] = rounded_groups.get(group, 0) + value
+    for group, values in frac_groups.items():
+        assert rounded_groups.get(group, 0) == round(math.fsum(values))
+
+
+@property_settings
+@given(repair_cases(full_support=True))
+def test_fractional_repair_keeps_marginals_and_kl_equals_cmi(case):
+    h, spec = case
+    result = repair(h, spec)
+    for attrs in ((spec.x, *spec.z), (spec.y, *spec.z)):
+        after = marginalize(result.fractional, attrs).counts
+        for key, value in marginalize(h, attrs).counts.items():
+            assert after[key] == pytest.approx(value, rel=1e-12)
+    assert result.kl_divergence == pytest.approx(conditional_mutual_information(h, spec), rel=1e-9, abs=1e-12)
+    assert result.cmi_after == pytest.approx(0.0, abs=1e-12)
+
+
+@property_settings
+@given(repair_cases())
+def test_canonical_order_breaks_ties_by_key_not_by_declared_order(case):
+    h, _ = case
+    assert h.canonical_order() == sorted(h.keys(), key=lambda k: (-h.get(k), k))

@@ -178,6 +178,19 @@ class TestRepair:
             for g, total in frac_groups.items():
                 assert rounded_groups.get(g, 0) == round(total)
 
+    def test_largest_remainder_ties_go_to_the_smaller_key(self):
+        # u is declared (q, p): the tied unit of group (a, 0) goes to the
+        # lexicographically smaller key (a, 0, p), not to the first code.
+        schema = AttributeSchema((("x", ("a", "b")), ("y", ("0", "1")), ("u", ("q", "p"))))
+        h = Histogram(schema, {
+            ("a", "0", "q"): 1, ("a", "0", "p"): 1, ("a", "1", "q"): 1,
+            ("b", "0", "q"): 1, ("b", "1", "p"): 2, ("b", "1", "q"): 1,
+        })
+        result = repair(h, RepairSpec("x", "y"))
+        assert result.fractional.get(("a", "0", "q")) == result.fractional.get(("a", "0", "p"))
+        assert result.rounded.get(("a", "0", "p")) == 1
+        assert result.rounded.get(("a", "0", "q")) == 0
+
     def test_half_even_rounding_flag(self):
         h = worked_histogram()
         result = repair(h, RepairSpec("x", "y"), rounding="half_even")
