@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -99,6 +100,13 @@ def _coerce(kind, value, what: str):
         raise ConfigError(f"{what}: expected a number, got {value!r}") from None
 
 
+def _whole(value, what: str) -> int:
+    """value as an int when it is a whole number in [0, 2**63), else a ConfigError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 2**63 or value != int(value):
+        raise ConfigError(f"{what}: expected a whole number in [0, 2**63), got {value!r}")
+    return int(value)
+
+
 def _parse_privacy(obj) -> dict:
     """The epsilon, rho and optional n of a privacy config, checked and typed.
 
@@ -108,14 +116,10 @@ def _parse_privacy(obj) -> dict:
     if not isinstance(obj, Mapping) or "epsilon" not in obj or "rho" not in obj:
         raise ConfigError("privacy config needs epsilon and rho")
     n = obj.get("n")
-    if n is not None and (
-        isinstance(n, bool) or not isinstance(n, (int, float)) or not 0 <= n < 2**63 or n != int(n)
-    ):
-        raise ConfigError(f"privacy.n: expected a whole number in [0, 2**63), got {n!r}")
     return {
         "epsilon": _coerce(float, obj["epsilon"], "privacy.epsilon"),
         "rho": _coerce(float, obj["rho"], "privacy.rho"),
-        "n": n,
+        "n": None if n is None else _whole(n, "privacy.n"),
     }
 
 
@@ -185,9 +189,12 @@ class PipelineConfig:
         bootstrap = obj.get("bootstrap", {})
         if not isinstance(bootstrap, Mapping):
             raise ConfigError(f"bootstrap: expected an object, got {bootstrap!r}")
-        replicates = _coerce(int, bootstrap.get("replicates", 200), "bootstrap.replicates")
+        replicates = _whole(bootstrap.get("replicates", 200), "bootstrap.replicates")
         if replicates < 2:
             raise ConfigError(f"bootstrap.replicates must be at least 2, got {replicates}")
+        empty_release_ok = obj.get("empty_release_ok", False)
+        if not isinstance(empty_release_ok, bool):
+            raise ConfigError(f"empty_release_ok: expected true or false, got {empty_release_ok!r}")
         return cls(
             schema_path=_resolve(obj.get("schema"), base_dir),
             input_path=_resolve(obj.get("input"), base_dir),
@@ -197,8 +204,8 @@ class PipelineConfig:
             privacy=privacy,
             order=order,
             replicates=replicates,
-            seed=_coerce(int, obj.get("seed", 0), "seed"),
-            empty_release_ok=bool(obj.get("empty_release_ok", False)),
+            seed=_whole(obj.get("seed", 0), "seed"),
+            empty_release_ok=empty_release_ok,
             base_dir=str(base_dir) if base_dir is not None else None,
         )
 
@@ -234,9 +241,9 @@ def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> Syn
     try:
         return SynthConfig(
             od_seed=od,
-            trips=int(_require(obj, "trips", "synth")),
+            trips=_whole(_require(obj, "trips", "synth"), "synth.trips"),
             mode=obj.get("mode", "uncorrelated"),
-            seed=int(obj.get("seed", 0)),
+            seed=_whole(obj.get("seed", 0), "synth.seed"),
             **kwargs,
         )
     except (TypeError, ValueError) as exc:
@@ -264,10 +271,14 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
             config = BikeConfig.from_json_obj(cfg_obj)
             with open(trips_path, newline="", encoding="utf8") as tf, open(
                 riders_path, newline="", encoding="utf8"
-            ) as rf:
-                return bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
+            ) as rf, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
+                result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
         except OSError as exc:
             raise ConfigError(f"cannot read ingest input: {exc}") from None
+        for msg in result.warnings:
+            print(f"warning: {msg}", file=sys.stderr)
+        return result
     raise ConfigError(f"ingest kind must be taxi or bike, got {kind!r}")
 
 
@@ -468,8 +479,6 @@ def _cmd_ingest(args) -> int:
         {"stats": result.stats.to_json_obj(), "warnings": list(result.warnings)},
         out / "ingest_report.json",
     )
-    for msg in result.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
     return 0
 
 
@@ -500,7 +509,7 @@ def _cmd_repair(args) -> int:
 def _cmd_privatize(args) -> int:
     obj = _load_json(args.config)
     privacy = _parse_privacy(obj)
-    seed = args.seed if args.seed is not None else _coerce(int, obj.get("seed", 0), "seed")
+    seed = args.seed if args.seed is not None else _whole(obj.get("seed", 0), "seed")
     h = _read_histogram(args.input, _load_schema(args.schema))
     params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)

@@ -179,10 +179,13 @@ class TaxiConfig:
             raise ConfigError(f"taxi bbox and tip_threshold must be numbers: {exc}") from None
         if len(box) != 4:
             raise ConfigError(f"taxi bbox: expected lon_min, lon_max, lat_min, lat_max, got {bbox!r}")
+        card_values = obj.get("card_values", ["CRD"])
+        if not isinstance(card_values, list) or not all(isinstance(v, str) for v in card_values):
+            raise ConfigError(f"taxi card_values: expected a list of strings, got {card_values!r}")
         return cls(
             columns=columns,
             bbox=box,
-            card_values=tuple(obj.get("card_values", ("CRD",))),
+            card_values=tuple(card_values),
             tip_threshold=tip_threshold,
         )
 

@@ -310,10 +310,27 @@ def repair_argv(tmp_path, spec):
     ]
 
 
-def repair_argv_with_count(tmp_path, raw):
-    argv = repair_argv(tmp_path, {"x": "gender", "y": "rating", "z": ["origin"]})
+def with_input_count(tmp_path, argv, raw):
+    """argv, after replacing the small input with one holding the count `raw`."""
     (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
     return argv
+
+
+def repair_argv_with_count(tmp_path, raw):
+    return with_input_count(tmp_path, repair_argv(tmp_path, {"x": "gender", "y": "rating", "z": ["origin"]}), raw)
+
+
+def bike_ingest_argv(tmp_path):
+    """A bike ingest in which company A reports a single gender."""
+    (tmp_path / "trips.csv").write_text(
+        "rider_id,start_nhood,end_nhood,start_time,company\n"
+        "r1,Ballard,Fremont,08:00,A\nr2,Fremont,Ballard,09:00,B\nr3,Ballard,Ballard,18:00,B\n"
+    )
+    (tmp_path / "riders.csv").write_text("rider_id,gender,helmet\nr1,female,yes\nr2,female,no\nr3,male,yes\n")
+    config = {"kind": "bike", "trips_csv": "trips.csv", "riders_csv": "riders.csv",
+              "neighborhoods": ["Ballard", "Fremont"], "companies": ["A", "B"]}
+    (tmp_path / "bike.json").write_text(json.dumps(config))
+    return ["ingest", "--config", str(tmp_path / "bike.json")]
 
 
 def privatize_argv(tmp_path, privacy):
@@ -349,6 +366,14 @@ MALFORMED_INPUTS = {
     "repair-spec-x-equals-y": (lambda t: repair_argv(t, {"x": "rating", "y": "rating"}), 2),
     "repair-z-a-string": (lambda t: release_argv(t, repair={"x": "gender", "y": "rating", "z": "origin"}), 2),
     "repair-unknown-attribute": (lambda t: repair_argv(t, {"x": "colour", "y": "rating"}), 3),
+    "taxi-card-values-a-number": (lambda t: taxi_config_argv(t, card_values=5), 2),
+    "taxi-card-values-a-string": (lambda t: taxi_config_argv(t, card_values="CRD"), 2),
+    "replicates-fractional": (lambda t: release_argv(t, bootstrap={"replicates": 2.5}), 2),
+    "synth-trips-fractional": (lambda t: release_argv(t, input=None, schema=None, synth={
+        "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 2000.7}), 2),
+    "seed-fractional": (lambda t: release_argv(t, seed=3.9), 2),
+    "empty-release-ok-a-string": (lambda t: release_argv(t, empty_release_ok="false"), 2),
+    "count-beyond-int64": (lambda t: with_input_count(t, release_argv(t), "10000000000000000000"), 3),
 }
 
 
@@ -361,6 +386,15 @@ def test_malformed_input_exits_with_typed_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:" if code == 2 else "data error:")
     assert not out.exists()  # rejected before any output is written
+
+
+def test_each_ingest_warning_is_one_stderr_line(tmp_path):
+    proc = run_cli([*bike_ingest_argv(tmp_path), "--out", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: company 'A' reports a single constant gender value ('female'); "
+        "suspect a default value in the source data"
+    ]
 
 
 class TestSweep:

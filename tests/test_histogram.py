@@ -54,6 +54,10 @@ class TestSchema:
             idx = int(rng.integers(0, schema.global_size))
             assert schema.index_of(schema.key_at(idx)) == idx
 
+    def test_index_of_rejects_a_key_of_the_wrong_length(self):
+        with pytest.raises(SchemaError):
+            two_attr_schema().index_of(("a",))
+
     def test_json_roundtrip(self, tmp_path):
         schema = two_attr_schema()
         schema.save(tmp_path / "schema.json")
@@ -78,6 +82,11 @@ class TestHistogramConstruction:
     def test_non_finite_count_rejected(self, value, integral):
         with pytest.raises(DataError, match="non-finite"):
             Histogram(two_attr_schema(), {("a", "0"): value}, integral=integral)
+
+    @pytest.mark.parametrize("counts", [{("a", "0"): 2**63}, {("a", "0"): 2**62, ("b", "0"): 2**62}])
+    def test_integer_counts_must_fit_int64(self, counts):
+        with pytest.raises(DataError):
+            Histogram(two_attr_schema(), counts)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(SchemaError):
