@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import DataError, EmptyInputError, SchemaError
 import numpy as np
 
+from .errors import DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
 from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
 from .rng import substream
