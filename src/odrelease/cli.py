@@ -216,8 +216,11 @@ class PipelineConfig:
 
 def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> SynthConfig:
     if obj.get("generate_od") is not None:
+        generate = obj["generate_od"]
         try:
-            od = synthetic_od_seed(**obj["generate_od"])
+            whole = {key: _whole(generate[key], f"synth.generate_od.{key}")
+                     for key in ("n_neighborhoods", "n_pairs", "total", "seed") if key in generate}
+            od = synthetic_od_seed(**{**generate, **whole})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed synth.generate_od: {exc}") from None
     elif obj.get("od_seed") is not None:

@@ -22,14 +22,23 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, BucketKey, Histogram
-from .rng import substream
+from .rng import first_uniforms, substream
+
+
+# The largest log magnitude the mechanism multiplies by 1/epsilon: a Laplace
+# tail is floored at the smallest normal double, and threshold numerators and
+# exponential draws stay far below it.  Twice it over epsilon must be finite,
+# so a noised count or tau plus an exponential draw is finite too.
+_MAX_LOG = -math.log(np.finfo(float).tiny)
 
 
 def _check_rho_epsilon(rho: float, epsilon: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"rho must be in (0, 1), got {rho!r}")
-    if not epsilon > 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon!r}")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not math.isfinite(2.0 * _MAX_LOG / epsilon):
+        raise ConfigError(f"epsilon {epsilon!r} is so small that noise of scale 1/epsilon overflows")
 
 
 def threshold(n: int, rho: float, epsilon: float) -> float:
@@ -107,13 +116,23 @@ class ReleaseResult:
         }
 
 
+def _laplace(location, scale: float, uniform):
+    """Laplace(location, scale) by inverse CDF of uniform(s) in [0, 1)."""
+    u = uniform - 0.5
+    tail = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
+    return location - scale * np.sign(u) * np.log(tail)
+
+
+def _exponential(mean: float, uniform):
+    """Exponential with the given mean by inverse CDF of uniform(s) in [0, 1)."""
+    return -mean * np.log1p(-uniform)
+
+
 def laplace_sample(location: float, scale: float, rng: np.random.Generator, size=None):
     """Laplace draw(s) via inverse CDF on a uniform; scale is the diversity b."""
     if scale <= 0:
         raise ConfigError(f"scale must be positive, got {scale!r}")
-    u = rng.random(size) - 0.5
-    tail = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
-    value = location - scale * np.sign(u) * np.log(tail)
+    value = _laplace(location, scale, rng.random(size))
     return float(value) if size is None else value
 
 
@@ -121,7 +140,7 @@ def exponential_sample(mean: float, rng: np.random.Generator, size=None):
     """Exponential draw(s) with the given mean (rate 1/mean)."""
     if mean <= 0:
         raise ConfigError(f"mean must be positive, got {mean!r}")
-    value = -mean * np.log1p(-rng.random(size))
+    value = _exponential(mean, rng.random(size))
     return float(value) if size is None else value
 
 
@@ -178,20 +197,21 @@ def _complement_codes(schema: AttributeSchema, active: np.ndarray, k: int, rng: 
 def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
     """Run the categorical release mechanism on an integer-mode histogram.
 
-    Each active bin draws its Laplace noise from an independent substream of
-    (seed, bucket index in canonical order), so per-bin noising is order
-    independent.  Released counts are rounded half to even with a floor of 1
-    at emission; the threshold test itself happens on the real noised value.
+    Each active bin draws its Laplace noise from the first uniform of the
+    substream (seed, "active", bucket index in canonical order), so per-bin
+    noising is order independent; all bins' uniforms come from one
+    `first_uniforms` pass.  Released counts are rounded half to even with a
+    floor of 1 at emission; the threshold test itself happens on the real
+    noised value.
     """
     if not h.integral:
         raise DataError("privatize expects an integer-mode histogram")
     schema = h.schema
     eps, tau, n = params.epsilon, params.tau, params.n
+    _check_rho_epsilon(params.rho, eps)
     order = h.ranking()
-    noised = np.array([
-        laplace_sample(float(c), 1.0 / eps, substream(seed, "active", i))
-        for i, c in enumerate(h.counts[order].tolist())
-    ])
+    uniforms = first_uniforms(seed, (("active", i) for i in range(len(h))))
+    noised = _laplace(h.counts[order].astype(np.float64), 1.0 / eps, uniforms)
     kept = noised >= tau
     codes, values = [h.codes[order][kept]], [noised[kept]]
 
@@ -199,7 +219,8 @@ def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
     if n >= 1:
         k = binomial_sample(n, 0.5 * math.exp(-eps * tau), substream(seed, "spurious-count"))
         codes.append(_complement_codes(schema, h.codes, k, substream(seed, "spurious-keys")))
-        values.append([tau + exponential_sample(1.0 / eps, substream(seed, "spurious-value", j)) for j in range(k)])
+        uniforms = first_uniforms(seed, (("spurious-value", j) for j in range(k)))
+        values.append(tau + _exponential(1.0 / eps, uniforms))
 
     released = np.maximum(1, np.rint(np.concatenate(values)))
     retained = int(np.count_nonzero(kept))

@@ -3,7 +3,11 @@
 import itertools
 import math
 
+import numpy as np
+
 from odrelease import AttributeSchema, Histogram, RepairSpec
+from odrelease.privacy import ReleaseResult, _complement_codes, binomial_sample, exponential_sample, laplace_sample
+from odrelease.rng import substream
 
 ATTR_NAMES = ("a0", "a1", "a2", "a3")
 
@@ -133,4 +137,30 @@ def full_reversal_closed_form(m):
     """Sum over all pairs i < j of (1/i + 1/j)/2."""
     return math.fsum(
         0.5 * (1.0 / i + 1.0 / j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+    )
+
+
+def privatize_per_bin(h, params, seed):
+    """privatize with one generator per drawn value: bin i's noise from substream(seed, "active", i)."""
+    eps, tau, n = params.epsilon, params.tau, params.n
+    order = h.ranking()
+    noised = np.array([
+        laplace_sample(float(c), 1.0 / eps, substream(seed, "active", i))
+        for i, c in enumerate(h.counts[order].tolist())
+    ])
+    kept = noised >= tau
+    codes, values = [h.codes[order][kept]], [noised[kept]]
+    k = 0
+    if n >= 1:
+        k = binomial_sample(n, 0.5 * math.exp(-eps * tau), substream(seed, "spurious-count"))
+        codes.append(_complement_codes(h.schema, h.codes, k, substream(seed, "spurious-keys")))
+        values.append([tau + exponential_sample(1.0 / eps, substream(seed, "spurious-value", j)) for j in range(k)])
+    released = np.maximum(1, np.rint(np.concatenate(values)))
+    retained = int(np.count_nonzero(kept))
+    return ReleaseResult(
+        histogram=Histogram.from_codes(h.schema, np.concatenate(codes), released),
+        retained_active=retained,
+        suppressed_active=len(h) - retained,
+        spurious_added=k,
+        seed=seed,
     )

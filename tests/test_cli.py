@@ -279,6 +279,11 @@ def synth_release_argv(tmp_path):
     return release_argv(tmp_path, input=None, schema=None, synth=synth)
 
 
+def generate_od_argv(tmp_path, **fields):
+    synth = {"generate_od": {"n_neighborhoods": 4, "n_pairs": 3, **fields}, "trips": 100}
+    return release_argv(tmp_path, input=None, schema=None, synth=synth)
+
+
 def taxi_ingest_argv(tmp_path, **fields):
     path = tmp_path / "ingest.json"
     path.write_text(json.dumps({"kind": "taxi", **fields}))
@@ -313,6 +318,12 @@ def repair_argv(tmp_path, spec):
 def with_input_count(tmp_path, argv, raw):
     """argv, after replacing the small input with one holding the count `raw`."""
     (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
+    return argv
+
+
+def with_empty_input(tmp_path, argv):
+    """argv, after replacing the small input with one holding no bucket."""
+    (tmp_path / "input.csv").write_text("origin,gender,rating,count\n")
     return argv
 
 
@@ -374,6 +385,15 @@ MALFORMED_INPUTS = {
     "seed-fractional": (lambda t: release_argv(t, seed=3.9), 2),
     "empty-release-ok-a-string": (lambda t: release_argv(t, empty_release_ok="false"), 2),
     "count-beyond-int64": (lambda t: with_input_count(t, release_argv(t), "10000000000000000000"), 3),
+    "epsilon-infinite": (lambda t: release_argv(t, privacy={"epsilon": math.inf, "rho": 0.9}), 2),
+    "epsilon-infinite-empty-input": (lambda t: with_empty_input(
+        t, privatize_argv(t, {"epsilon": math.inf, "rho": 0.9, "n": 0})), 2),
+    "epsilon-subnormal": (lambda t: privatize_argv(t, {"epsilon": 1e-320, "rho": 0.9}), 2),
+    "generate-od-seed-fractional": (lambda t: generate_od_argv(t, seed=3.9), 2),
+    "generate-od-seed-negative": (lambda t: generate_od_argv(t, seed=-1), 2),
+    "generate-od-total-fractional": (lambda t: generate_od_argv(t, total=1000.7), 2),
+    "generate-od-n-pairs-fractional": (lambda t: generate_od_argv(t, n_pairs=3.5), 2),
+    "generate-od-n-neighborhoods-fractional": (lambda t: generate_od_argv(t, n_neighborhoods=4.5), 2),
 }
 
 

@@ -83,6 +83,16 @@ class TestParams:
         with pytest.raises(ConfigError):
             PrivacyParams.derive(epsilon=1.0, rho=0.9, n=-1)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0, 1e-320, 5e-306])
+    def test_epsilon_must_be_finite_and_not_overflow_the_noise_scale(self, epsilon):
+        for n in (0, 10**6):
+            with pytest.raises(ConfigError):
+                PrivacyParams.derive(epsilon=epsilon, rho=0.9, n=n)
+
+    def test_smallest_accepted_epsilon_keeps_scale_and_threshold_finite(self):
+        params = PrivacyParams.derive(epsilon=1e-305, rho=0.999999, n=2**63 - 1)
+        assert math.isfinite(1.0 / params.epsilon) and math.isfinite(params.tau)
+
 
 class TestSamplers:
     def test_laplace_moments(self):
@@ -246,3 +256,9 @@ class TestPrivatize:
         params = PrivacyParams.derive(epsilon=1.0, rho=0.5, n=1)
         with pytest.raises(DataError):
             privatize(h, params, 0)
+
+    @pytest.mark.parametrize("counts", [{}, {("v0",): 4}])
+    def test_hand_built_params_with_infinite_epsilon_rejected(self, counts):
+        h = Histogram(small_schema(), counts)
+        with pytest.raises(ConfigError):
+            privatize(h, PrivacyParams(epsilon=math.inf, rho=0.9, n=0, tau=0.0), 0)

@@ -7,18 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from odrelease import (
     AttributeSchema,
+    DataError,
     Histogram,
+    PrivacyParams,
     RepairSpec,
     bootstrap_distances,
     conditional_mutual_information,
     group_by,
     hellinger,
     marginalize,
+    privatize,
     pwkt,
     read_histogram_csv,
     repair,
@@ -27,7 +30,7 @@ from odrelease import (
 )
 from odrelease.ingest import _tenths_range, round_coordinate
 
-from helpers import largest_remainder_repair, pwkt_bruteforce, ranking_of
+from helpers import largest_remainder_repair, privatize_per_bin, pwkt_bruteforce, ranking_of
 
 WEIGHTS = {"harmonic": lambda i: 1.0 / i, "exponential": lambda i: 0.5 ** (i - 1)}
 
@@ -190,3 +193,56 @@ def test_fractional_repair_keeps_marginals_and_kl_equals_cmi(case):
 def test_canonical_order_breaks_ties_by_key_not_by_declared_order(case):
     h, _ = case
     assert h.canonical_order() == sorted(h.keys(), key=lambda k: (-h.get(k), k))
+
+
+EMPTY = Histogram(AttributeSchema((("a0", ("v0", "v1")), ("a1", ("v0",)))), {})
+
+
+def _release(mechanism, h, params, seed):
+    """The mechanism's result, or the message of the DataError it raised."""
+    try:
+        return mechanism(h, params, seed)
+    except DataError as exc:  # more spurious bins drawn than the complement holds
+        return str(exc)
+
+
+@st.composite
+def privatize_cases(draw):
+    h = draw(histograms(max_count=6))
+    epsilon = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 20.0)))
+    rho = draw(st.floats(0.5, 0.98))  # rho >= 0.5 keeps tau >= 0 for every n >= 1
+    complement = h.schema.global_size - len(h)
+    n = draw(st.one_of(st.none(), st.just(0), st.integers(0, complement + 3)))
+    return h, PrivacyParams.for_histogram(h, epsilon, rho, n), draw(st.integers(0, 2**63 - 1))
+
+
+@property_settings
+@given(privatize_cases())
+@example((EMPTY, PrivacyParams.for_histogram(EMPTY, 1.0, 0.5), 3))
+@example((EMPTY, PrivacyParams.for_histogram(EMPTY, 1.0, 0.5, 0), 3))
+def test_privatize_equals_the_per_bin_oracle(case):
+    h, params, seed = case
+    got, want = _release(privatize, h, params, seed), _release(privatize_per_bin, h, params, seed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.histogram.codes, want.histogram.codes)
+    assert np.array_equal(got.histogram.counts, want.histogram.counts)
+    assert got.histogram.counts.dtype == want.histogram.counts.dtype
+    assert got.histogram.schema is want.histogram.schema and got.histogram.total == want.histogram.total
+    assert got.to_report_obj() == want.to_report_obj()
+
+
+@property_settings
+@given(privatize_cases())
+def test_privatize_keys_stay_in_the_schema_and_spurious_ones_outside_the_active_domain(case):
+    h, params, seed = case
+    result = _release(privatize, h, params, seed)
+    assume(not isinstance(result, str))
+    codes = result.histogram.codes
+    assert np.all((codes >= 0) & (codes < h.schema.global_size))
+    active = np.isin(codes, h.codes)
+    assert np.count_nonzero(active) == result.retained_active
+    assert np.count_nonzero(~active) == result.spurious_added
+    assert result.retained_active + result.suppressed_active == len(h)
+    assert params.n >= 1 or result.spurious_added == 0
