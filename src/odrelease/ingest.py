@@ -231,7 +231,8 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]], config: TaxiConfig) ->
         except (ValueError, DataError):
             malformed += 1
             continue
-        if fare <= 0 or distance < 0 or tip < 0:
+        finite = all(map(math.isfinite, (o_lon, o_lat, d_lon, d_lat, distance, fare, tip)))
+        if not finite or fare <= 0 or distance < 0 or tip < 0:
             malformed += 1
             continue
         in_box = lon_min <= o_lon <= lon_max and lon_min <= d_lon <= lon_max

@@ -170,6 +170,23 @@ class TestTaxiPreprocess:
         result = taxi_preprocess(rows, TaxiConfig())
         assert result.stats.malformed == 1
 
+    def test_non_finite_numbers_are_malformed(self):
+        rows = [taxi_row(distance=1.0 + i, driver=f"d{i}") for i in range(6)]
+        rows += [
+            taxi_row(fare="nan"),
+            taxi_row(distance="nan"),
+            taxi_row(tip="inf"),
+            taxi_row(o=("-Infinity", 40.7)),
+            taxi_row(d=(-73.95, "1e999")),
+        ]
+        result = taxi_preprocess(rows, TaxiConfig())
+        assert result.stats.malformed == 5
+        assert result.stats.retained == 6
+        # a NaN distance no longer makes the distance cutoffs depend on row order
+        assert taxi_preprocess(rows[::-1], TaxiConfig()).histogram == result.histogram
+        dist = marginalize(result.histogram, ["dist"]).counts
+        assert dist == {("low",): 2, ("medium",): 2, ("high",): 2}
+
     def test_distance_tertiles_about_one_third(self):
         rng = np.random.default_rng(5)
         rows = [
