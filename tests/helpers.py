@@ -5,7 +5,18 @@ import math
 
 import numpy as np
 
-from odrelease import AttributeSchema, Histogram, RepairSpec
+from odrelease import AttributeSchema, DataError, EmptyInputError, Histogram, RepairSpec
+from odrelease.ingest import (
+    TERTILE_LABELS,
+    TIME_BUCKETS,
+    TIP_LABELS,
+    IngestResult,
+    IngestStats,
+    _tenths_range,
+    round_coordinate,
+    tertiles,
+    time_bucket,
+)
 from odrelease.privacy import ReleaseResult, _complement_codes, binomial_sample, exponential_sample, laplace_sample
 from odrelease.rng import substream
 
@@ -164,3 +175,87 @@ def privatize_per_bin(h, params, seed):
         spurious_added=k,
         seed=seed,
     )
+
+
+def taxi_preprocess_per_row(records, config):
+    """taxi_preprocess one record at a time: a dict of stripped values per row."""
+    cols = config.columns
+    lon_min, lon_max, lat_min, lat_max = config.bbox
+    card = set(config.card_values)
+
+    rows = malformed = dropped_missing = dropped_filtered = 0
+    trips = []
+    for rec in records:
+        rows += 1
+        raw = {role: (rec.get(col) or "").strip() for role, col in cols.items()}
+        if any(not raw[role] for role in cols):
+            dropped_missing += 1
+            continue
+        if raw["payment_type"] not in card:
+            dropped_filtered += 1
+            continue
+        try:
+            pickup = time_bucket(raw["pickup_datetime"])
+            o_lon, o_lat = float(raw["pickup_lon"]), float(raw["pickup_lat"])
+            d_lon, d_lat = float(raw["dropoff_lon"]), float(raw["dropoff_lat"])
+            distance = float(raw["trip_distance"])
+            fare = float(raw["fare_amount"])
+            tip = float(raw["tip_amount"])
+        except (ValueError, DataError):
+            malformed += 1
+            continue
+        finite = all(map(math.isfinite, (o_lon, o_lat, d_lon, d_lat, distance, fare, tip)))
+        if not finite or fare <= 0 or distance < 0 or tip < 0:
+            malformed += 1
+            continue
+        in_box = lon_min <= o_lon <= lon_max and lon_min <= d_lon <= lon_max
+        in_box = in_box and lat_min <= o_lat <= lat_max and lat_min <= d_lat <= lat_max
+        if not in_box:
+            dropped_filtered += 1
+            continue
+        trips.append(
+            (
+                round_coordinate(o_lon),
+                round_coordinate(o_lat),
+                round_coordinate(d_lon),
+                round_coordinate(d_lat),
+                pickup,
+                distance,
+                "high" if tip >= config.tip_threshold * fare else "low",
+                raw["driver_id"],
+            )
+        )
+
+    if rows and malformed > 0.5 * rows:
+        raise DataError(f"{malformed} of {rows} rows malformed; refusing to continue")
+    if not trips:
+        raise EmptyInputError("no taxi trips survived preprocessing")
+
+    ordered = sorted(t[5] for t in trips)
+    t1 = ordered[math.ceil(len(ordered) / 3) - 1]
+    t2 = ordered[math.ceil(2 * len(ordered) / 3) - 1]
+    driver_totals = {}
+    for t in trips:
+        driver_totals[t[7]] = driver_totals.get(t[7], 0) + 1
+    freq = tertiles(driver_totals)
+
+    schema = AttributeSchema(
+        (
+            ("o_lon", _tenths_range(lon_min, lon_max)),
+            ("o_lat", _tenths_range(lat_min, lat_max)),
+            ("d_lon", _tenths_range(lon_min, lon_max)),
+            ("d_lat", _tenths_range(lat_min, lat_max)),
+            ("pickup", TIME_BUCKETS),
+            ("dist", TERTILE_LABELS),
+            ("tip", TIP_LABELS),
+            ("freq", TERTILE_LABELS),
+        )
+    )
+    counts = {}
+    for o_lon, o_lat, d_lon, d_lat, pickup, distance, tip_cat, driver in trips:
+        dist_cat = "low" if distance <= t1 else ("medium" if distance <= t2 else "high")
+        key = (o_lon, o_lat, d_lon, d_lat, pickup, dist_cat, tip_cat, freq[driver])
+        counts[key] = counts.get(key, 0) + 1
+
+    stats = IngestStats(rows, len(trips), dropped_missing, dropped_filtered, malformed)
+    return IngestResult(Histogram(schema, counts), stats)

@@ -1,9 +1,12 @@
 """Property tests against the brute-force oracles in helpers.py."""
 
+import csv
+import io
 import itertools
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from hypothesis import strategies as st
 from odrelease import (
     AttributeSchema,
     DataError,
+    EmptyInputError,
     Histogram,
     PrivacyParams,
     RepairSpec,
+    TaxiConfig,
     bootstrap_distances,
     conditional_mutual_information,
     group_by,
@@ -26,11 +31,13 @@ from odrelease import (
     read_histogram_csv,
     repair,
     support_union,
+    taxi_preprocess,
     write_histogram_csv,
 )
-from odrelease.ingest import _tenths_range, round_coordinate
+from odrelease import ingest
+from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 
-from helpers import largest_remainder_repair, privatize_per_bin, pwkt_bruteforce, ranking_of
+from helpers import largest_remainder_repair, privatize_per_bin, pwkt_bruteforce, ranking_of, taxi_preprocess_per_row
 
 WEIGHTS = {"harmonic": lambda i: 1.0 / i, "exponential": lambda i: 0.5 ** (i - 1)}
 
@@ -246,3 +253,171 @@ def test_privatize_keys_stay_in_the_schema_and_spurious_ones_outside_the_active_
     assert np.count_nonzero(~active) == result.spurious_added
     assert result.retained_active + result.suppressed_active == len(h)
     assert params.n >= 1 or result.spurious_added == 0
+
+
+TAXI_HEADER = [DEFAULT_TAXI_COLUMNS[role] for role in DEFAULT_TAXI_COLUMNS]
+
+
+def _decimal(lo, hi, halves):
+    """A number in [lo, hi] written with 0-6 decimals, or a value on a tenths half."""
+    written = st.builds(lambda d, v: f"{v:.{d}f}", st.integers(0, 6), st.floats(lo, hi))
+    return st.one_of(written, st.sampled_from(halves))
+
+
+LON, LAT = _decimal(-74.3, -73.6, ["-73.95", "-74.05", "-73.65"]), _decimal(40.4, 41.0, ["40.75", "40.45"])
+VALID_TIMES = st.builds(
+    "2013-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+    st.integers(1, 12), st.integers(1, 28), st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+)
+# Per field of the strict form: values out of range, or valid only in some months and years.
+STRICT_EDGES = ([0, 1900, 2012, 9999], [0, 2, 13], [0, 29, 30, 31, 32], [24, 25, 99], [60, 99], [60, 61, 99])
+
+
+@st.composite
+def strict_times_with_an_edge(draw):
+    fields = [2013, draw(st.integers(1, 12)), draw(st.integers(1, 28))] + [draw(st.integers(0, 23)), 0, 0]
+    at = draw(st.integers(0, len(fields) - 1))
+    fields[at] = draw(st.sampled_from(STRICT_EDGES[at]))
+    return "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format(*fields)
+
+
+# Forms other than the strict one, which time_bucket parses or rejects.
+OTHER_TIME_FORMS = [
+    "2013-01-11T08:15:00", "2013-01-11 08:15:00.5", "2013-01-11 08:15:00+05:00", "2013-01-11 19:00:00Z",
+    "2013-W02-5 08:15", "2013-01-11 \u0660\u0668:15:00", "\uff12013-01-11 08:15:00", "2013-01-11\u00a008:15:00",
+    "08:15", "17:30:00", "not-a-time", "2013-01-11 08:15:0?", "2013/01/11 08:15:00",
+]
+OTHER_TIMES = st.sampled_from(OTHER_TIME_FORMS)
+PICKUP_TIMES = st.one_of(VALID_TIMES, VALID_TIMES, VALID_TIMES, strict_times_with_an_edge(), OTHER_TIMES)
+BAD_NUMBERS = st.sampled_from(
+    ["nan", "-inf", "Infinity", "1e999", "1_000", "1__0", "abc", "1.2.3", "\u0661\u0662", "-0.0", "0", "-1.5", "99"]
+)
+FIELDS = {
+    "pickup_datetime": PICKUP_TIMES,
+    "pickup_longitude": LON,
+    "pickup_latitude": LAT,
+    "dropoff_longitude": LON,
+    "dropoff_latitude": LAT,
+    "trip_distance": _decimal(0.0, 20.0, ["0", "1.5"]),
+    "fare_amount": _decimal(0.01, 40.0, ["2.5", "10"]),
+    "tip_amount": _decimal(0.0, 8.0, ["0", "2"]),
+    "payment_type": st.just("CRD"),
+    "hack_license": st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+}
+SPOILED_FIELDS = {
+    "pickup_datetime": strict_times_with_an_edge(),
+    **{name: BAD_NUMBERS for name in TAXI_HEADER[1:8]},
+    "payment_type": st.sampled_from(["CSH", "crd"]),
+    "hack_license": st.just("D1"),
+}
+
+
+@st.composite
+def taxi_csvs(draw):
+    """CSV text of rows with 0-2 fields spoiled (empty, padded, out of range
+    or malformed), short and long rows, blank lines, and sometimes a
+    duplicate or a missing header column."""
+    header = list(TAXI_HEADER)
+    shape = draw(st.sampled_from(["plain", "plain", "duplicate", "missing", "extra"]))
+    if shape == "duplicate":  # the later column of the name wins
+        header.append(draw(st.sampled_from(TAXI_HEADER)))
+    elif shape == "missing":
+        header.remove(draw(st.sampled_from(TAXI_HEADER)))
+    elif shape == "extra":
+        header.insert(draw(st.integers(0, len(header))), "vendor_id")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(FIELDS.get(name, st.just("x"))) for name in header]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(row) - 1))
+            how = draw(st.sampled_from(["empty", "padded", "other"]))
+            if how == "empty":
+                row[i] = draw(st.sampled_from(["", " ", "\t"]))
+            elif how == "padded":
+                row[i] = f" {row[i]}\t"
+            else:
+                row[i] = draw(SPOILED_FIELDS.get(header[i], st.just("y")))
+        kind = draw(st.sampled_from(["full"] * 6 + ["short", "long", "blank"]))
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row += ["extra", "fields"]
+        lines.append([] if kind == "blank" else row)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    for line in lines:
+        if line:
+            writer.writerow(line)
+        else:
+            out.write("\r\n")
+    return out.getvalue()
+
+
+def _ingest(preprocess, records):
+    """The ingest result, or the type and message of the error it raised."""
+    try:
+        return preprocess(records, TaxiConfig())
+    except (DataError, EmptyInputError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_ingest(text):
+    for records in (lambda: csv.DictReader(io.StringIO(text)), lambda: list(csv.DictReader(io.StringIO(text)))):
+        got, want = _ingest(taxi_preprocess, records()), _ingest(taxi_preprocess_per_row, records())
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.stats == want.stats
+        assert got.histogram.schema == want.histogram.schema
+        assert np.array_equal(got.histogram.codes, want.histogram.codes)
+        assert np.array_equal(got.histogram.counts, want.histogram.counts)
+        assert got.histogram.counts.dtype == want.histogram.counts.dtype
+
+
+def _edge_times_csv():
+    """Each strict-form edge and each other time form once, in otherwise valid
+    rows, between as many plain rows."""
+    times = list(OTHER_TIME_FORMS)
+    for at, edges in enumerate(STRICT_EDGES):
+        for edge in edges:
+            fields = [2012, 2, 28, 8, 15, 0]
+            fields[at] = edge
+            times.append("{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format(*fields))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(TAXI_HEADER)
+    for i, time in enumerate(times):
+        for pickup in (time, "2013-01-11 08:15:00"):
+            writer.writerow([pickup, "-73.95", "40.75", "-73.9", "40.7", str(i % 7), "10", "2", "CRD", f"d{i % 4}"])
+    return out.getvalue()
+
+
+@property_settings
+@given(taxi_csvs(), st.sampled_from([1, 2, 3, 2048]))
+@example(_edge_times_csv(), 5)
+def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):  # small blocks split rows across blocks
+        assert_same_ingest(text)
+
+
+def test_columnar_taxi_ingest_equals_the_per_row_oracle_across_blocks():
+    rng = np.random.default_rng(10)
+    rows = 3 * ingest._BLOCK_ROWS + 1000
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(TAXI_HEADER)
+    hour = rng.integers(0, 24, rows)
+    for i in range(rows):
+        lon, lat = rng.uniform(-74.35, -73.55, 2), rng.uniform(40.35, 41.05, 2)
+        fare = rng.uniform(-1.0, 30.0)
+        row = [
+            f"2013-01-{rng.integers(1, 32):02d} {hour[i]:02d}:{rng.integers(0, 60):02d}:00",
+            *(f"{v:.6f}" for v in (lon[0], lat[0], lon[1], lat[1])),
+            f"{rng.uniform(0, 20):.2f}", f"{fare:.2f}", f"{fare * rng.choice([0.0, 0.1, 0.2, 0.25]):.2f}",
+            rng.choice(["CRD"] * 9 + ["CSH"]), f"D{rng.integers(0, 300):03d}",
+        ]
+        spoil = rng.integers(0, 40)
+        if spoil < len(row):
+            row[spoil] = rng.choice(["", "nan", "x", "2013-13-01 00:00:00"])
+        writer.writerow(row)
+    assert_same_ingest(out.getvalue())
