@@ -48,6 +48,26 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(_digest(seed, labels), "big") >> 65
 
 
+def _digests(seed: int, label_paths: Iterable[tuple]) -> bytes:
+    """The _digest of every labels tuple, concatenated.  Paths that share all
+    but their last label hash that prefix once and copy the hash state."""
+    seed_text = repr(int(seed))
+    heads: dict[str, "hashlib.blake2b"] = {}
+    digests = bytearray()
+    for labels in label_paths:
+        if not labels:
+            digests += _digest(seed, labels)
+            continue
+        prefix = "\x1f".join([seed_text, *map(repr, labels[:-1]), ""])
+        head = heads.get(prefix)
+        if head is None:
+            head = heads[prefix] = hashlib.blake2b(prefix.encode("utf8"), digest_size=16)
+        path = head.copy()
+        path.update(repr(labels[-1]).encode("utf8"))
+        digests += path.digest()
+    return bytes(digests)
+
+
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64 bits of the 128-bit products m * x, from 32-bit halves."""
     m_lo, m_hi = m & _LOW32, m >> _32
@@ -65,8 +85,7 @@ def first_uniforms(seed: int, label_paths: Iterable[tuple]) -> np.ndarray:
     draw is word 0 of ten Philox-4x64 rounds on the counter (1, 0, 0, 0),
     turned into a double in [0, 1) by its top 53 bits.
     """
-    digests = b"".join(_digest(seed, labels) for labels in label_paths)
-    words = np.frombuffer(digests, dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    words = np.frombuffer(_digests(seed, label_paths), dtype=">u8").astype(np.uint64).reshape(-1, 2)
     k0, k1 = words[:, 1], words[:, 0]
     c0 = np.ones(len(words), dtype=np.uint64)
     c1 = c2 = c3 = np.zeros(len(words), dtype=np.uint64)
