@@ -137,9 +137,17 @@ class AttributeSchema:
             raise SchemaError(f"bucket index {index} out of range")
         return self.keys_at([index])[0]
 
+    @cached_property
+    def _subsets(self) -> dict[tuple[str, ...], "AttributeSchema"]:
+        return {}
+
     def subset(self, names: Sequence[str]) -> "AttributeSchema":
-        """Schema restricted to the given attributes, in the given order."""
-        return AttributeSchema(tuple((n, self.domain(n)) for n in names))
+        """Schema restricted to the given attributes, in the given order; one
+        instance per attribute tuple, so its cached strides and ranks are reused."""
+        names = tuple(names)
+        if names not in self._subsets:
+            self._subsets[names] = AttributeSchema(tuple((n, self.domain(n)) for n in names))
+        return self._subsets[names]
 
     def to_json_obj(self) -> dict:
         return {"attributes": [{"name": n, "domain": list(d)} for n, d in self.attributes]}
@@ -192,6 +200,12 @@ class Histogram:
         return h
 
     def _store(self, schema: AttributeSchema, codes: np.ndarray, counts, integral: bool) -> None:
+        if integral and isinstance(counts, np.ndarray) and counts.dtype.kind == "f":
+            # out of int64 range the cast below would wrap, with a RuntimeWarning
+            if not np.all(np.isfinite(counts)):
+                raise DataError("counts must be finite and nonnegative")
+            if np.any(np.abs(counts) >= _INT64_LIMIT):
+                raise DataError("a count does not fit in a 64-bit integer")
         try:
             counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)
         except OverflowError:

@@ -389,6 +389,7 @@ MALFORMED_INPUTS = {
     "epsilon-infinite-empty-input": (lambda t: with_empty_input(
         t, privatize_argv(t, {"epsilon": math.inf, "rho": 0.9, "n": 0})), 2),
     "epsilon-subnormal": (lambda t: privatize_argv(t, {"epsilon": 1e-320, "rho": 0.9}), 2),
+    "noised-count-beyond-int64": (lambda t: privatize_argv(t, {"epsilon": 1e-305, "rho": 0.9}), 3),
     "generate-od-seed-fractional": (lambda t: generate_od_argv(t, seed=3.9), 2),
     "generate-od-seed-negative": (lambda t: generate_od_argv(t, seed=-1), 2),
     "generate-od-total-fractional": (lambda t: generate_od_argv(t, total=1000.7), 2),
@@ -403,7 +404,7 @@ def test_malformed_input_exits_with_typed_error(tmp_path, case):
     out = tmp_path / "out"
     proc = run_cli([*make_argv(tmp_path), "--out", str(out)], cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("config error:" if code == 2 else "data error:")
     assert not out.exists()  # rejected before any output is written
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,19 @@ class TestHistogramConstruction:
     def test_integer_counts_must_fit_int64(self, counts):
         with pytest.raises(DataError):
             Histogram(two_attr_schema(), counts)
+
+    @pytest.mark.parametrize("value,message", [(1e307, "does not fit"), (-2.0**63, "does not fit"), (np.nan, "finite")])
+    def test_float_counts_are_range_checked_before_the_integer_cast(self, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast must not be reached and warn
+            with pytest.raises(DataError, match=message):
+                Histogram.from_codes(two_attr_schema(), [0, 1], np.array([3.0, value]))
+
+    def test_subset_is_one_schema_per_attribute_tuple(self):
+        schema = two_attr_schema()
+        sub = schema.subset(["second", "first"])
+        assert schema.subset(("second", "first")) is sub and sub.names == ("second", "first")
+        assert schema.subset(["first"]) is not sub
 
     def test_unknown_label_rejected(self):
         with pytest.raises(SchemaError):
