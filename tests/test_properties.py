@@ -378,9 +378,9 @@ def _edge_times_csv():
     """Each strict-form edge and each other time form once, in otherwise valid
     rows, between as many plain rows."""
     times = list(OTHER_TIME_FORMS)
-    for at, edges in enumerate(STRICT_EDGES):
-        for edge in edges:
-            fields = [2012, 2, 28, 8, 15, 0]
+    for year, at in itertools.product((1900, 2012, 2013), range(len(STRICT_EDGES))):  # only 2012-02-29 is a date
+        for edge in STRICT_EDGES[at]:
+            fields = [year, 2, 28, 8, 15, 0]
             fields[at] = edge
             times.append("{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format(*fields))
     out = io.StringIO()
