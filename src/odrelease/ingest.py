@@ -193,8 +193,9 @@ class TaxiConfig:
         )
 
 
-# Rows per block of the columnar taxi ingest.  Blocks of 64k rows ran 3x
-# slower than blocks of 1k, from allocation and cyclic-GC cost.
+# Rows per block of the columnar taxi ingest.  Blocks of 64k rows ran about
+# 1.8x slower than blocks of 2k, partly from cyclic-GC passes over the larger
+# transient lists.
 _BLOCK_ROWS = 2048
 _NUMBER_ROLES = (
     "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat", "trip_distance", "fare_amount", "tip_amount",
