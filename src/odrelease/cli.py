@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, DataError, ODReleaseError, SchemaError
+from .config import file_path, finite, flag, labels, mapping, whole
+from .errors import ConfigError, DataError, ODReleaseError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
     BikeConfig,
@@ -48,9 +49,9 @@ STAGES = {
 ORDERS = tuple(STAGES)
 
 
-def _load_json(path) -> dict:
+def _load_json(path) -> Mapping:
     try:
-        return json.loads(Path(path).read_text(encoding="utf8"))
+        return mapping(json.loads(Path(path).read_text(encoding="utf8")), str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -77,49 +78,17 @@ def _read_histogram(path, schema: AttributeSchema) -> Histogram:
         raise ConfigError(f"cannot read histogram {path}: {exc}") from None
 
 
-def _resolve(path, base_dir) -> str | None:
-    """A config's path, taken relative to the config file's directory unless absolute."""
-    if path is None:
-        return None
-    path = Path(path)
-    return str(path if path.is_absolute() or base_dir is None else Path(base_dir) / path)
-
-
-def _require(obj: Mapping, key: str, where: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise ConfigError(f"{where} config missing {key!r}") from None
-
-
-def _coerce(kind, value, what: str):
-    """kind(value), as a ConfigError naming `what` when the value is malformed."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected a number, got {value!r}") from None
-
-
-def _whole(value, what: str) -> int:
-    """value as an int when it is a whole number in [0, 2**63), else a ConfigError naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 2**63 or value != int(value):
-        raise ConfigError(f"{what}: expected a whole number in [0, 2**63), got {value!r}")
-    return int(value)
-
-
 def _parse_privacy(obj) -> dict:
     """The epsilon, rho and optional n of a privacy config, checked and typed.
 
     The one reader of privacy configs (release, sweep and privatize), so the
     result can be passed as PrivacyParams.for_histogram(h, **parsed).
     """
-    if not isinstance(obj, Mapping) or "epsilon" not in obj or "rho" not in obj:
-        raise ConfigError("privacy config needs epsilon and rho")
-    n = obj.get("n")
+    obj = mapping(obj, "privacy")
     return {
-        "epsilon": _coerce(float, obj["epsilon"], "privacy.epsilon"),
-        "rho": _coerce(float, obj["rho"], "privacy.rho"),
-        "n": None if n is None else _whole(n, "privacy.n"),
+        "epsilon": finite(obj.get("epsilon"), "privacy.epsilon"),
+        "rho": finite(obj.get("rho"), "privacy.rho"),
+        "n": None if obj.get("n") is None else whole(obj["n"], "privacy.n"),
     }
 
 
@@ -129,15 +98,10 @@ def _parse_repair(obj) -> RepairSpec:
     Attribute names are checked against a schema only once the input has
     loaded, so an unknown name stays a data error.
     """
-    if not isinstance(obj, Mapping) or not isinstance(obj.get("x"), str) or not isinstance(obj.get("y"), str):
-        raise ConfigError("a repair spec needs attribute names x and y")
-    z = obj.get("z", [])
-    if not isinstance(z, list) or not all(isinstance(a, str) for a in z):
-        raise ConfigError(f"repair.z: expected a list of attribute names, got {z!r}")
-    try:
-        return RepairSpec(obj["x"], obj["y"], tuple(z))
-    except SchemaError as exc:
-        raise ConfigError(f"malformed repair spec: {exc}") from None
+    obj = mapping(obj, "repair")
+    z = labels(obj.get("z", []), "repair.z", empty=True)
+    x, y, *_ = labels([obj.get("x"), obj.get("y"), *z], "repair x, y and z")  # RepairSpec's rule, as a ConfigError
+    return RepairSpec(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -161,17 +125,15 @@ class PipelineConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, base_dir: Path | None = None) -> "PipelineConfig":
-        if not isinstance(obj, Mapping):
-            raise ConfigError("a pipeline config must be a JSON object")
-        sources = [k for k in ("input", "synth", "ingest") if obj.get(k) is not None]
+        obj = mapping(obj, "pipeline config")
+        given = {key for key, value in obj.items() if value is not None}  # a null field is an absent one
+        sources = [k for k in ("input", "synth", "ingest") if k in given]
         if len(sources) != 1:
             raise ConfigError(f"exactly one of input/synth/ingest must be set, got {sources}")
-        if obj.get("input") is not None and obj.get("schema") is None:
+        if "input" in given and "schema" not in given:
             raise ConfigError("an input histogram needs a schema path")
 
-        repair_spec = _parse_repair(obj["repair"]) if obj.get("repair") is not None else None
-        privacy = _parse_privacy(obj["privacy"]) if obj.get("privacy") is not None else None
-        configured = {name for name, part in (("repair", repair_spec), ("privacy", privacy)) if part is not None}
+        configured = {name for name in ("repair", "privacy") if name in given}
         if not configured:
             raise ConfigError("at least one of repair/privacy must be configured")
 
@@ -186,26 +148,21 @@ class PipelineConfig:
                 f"got {' and '.join(sorted(configured))}"
             )
 
-        bootstrap = obj.get("bootstrap", {})
-        if not isinstance(bootstrap, Mapping):
-            raise ConfigError(f"bootstrap: expected an object, got {bootstrap!r}")
-        replicates = _whole(bootstrap.get("replicates", 200), "bootstrap.replicates")
+        bootstrap = mapping(obj.get("bootstrap", {}), "bootstrap")
+        replicates = whole(bootstrap.get("replicates", 200), "bootstrap.replicates")
         if replicates < 2:
             raise ConfigError(f"bootstrap.replicates must be at least 2, got {replicates}")
-        empty_release_ok = obj.get("empty_release_ok", False)
-        if not isinstance(empty_release_ok, bool):
-            raise ConfigError(f"empty_release_ok: expected true or false, got {empty_release_ok!r}")
         return cls(
-            schema_path=_resolve(obj.get("schema"), base_dir),
-            input_path=_resolve(obj.get("input"), base_dir),
-            synth=obj.get("synth"),
-            ingest=obj.get("ingest"),
-            repair_spec=repair_spec,
-            privacy=privacy,
+            schema_path=file_path(obj["schema"], "schema", base_dir) if "schema" in given else None,
+            input_path=file_path(obj["input"], "input", base_dir) if "input" in given else None,
+            synth=mapping(obj["synth"], "synth") if "synth" in given else None,
+            ingest=mapping(obj["ingest"], "ingest") if "ingest" in given else None,
+            repair_spec=_parse_repair(obj["repair"]) if "repair" in given else None,
+            privacy=_parse_privacy(obj["privacy"]) if "privacy" in given else None,
             order=order,
             replicates=replicates,
-            seed=_whole(obj.get("seed", 0), "seed"),
-            empty_release_ok=empty_release_ok,
+            seed=whole(obj.get("seed", 0), "seed"),
+            empty_release_ok=flag(obj.get("empty_release_ok", False), "empty_release_ok"),
             base_dir=str(base_dir) if base_dir is not None else None,
         )
 
@@ -214,75 +171,59 @@ class PipelineConfig:
         return cls.from_json_obj(_load_json(path), base_dir=Path(path).parent)
 
 
+_GENERATE_OD = {"n_neighborhoods": whole, "n_pairs": whole, "total": whole, "seed": whole, "skew": finite,
+                "uniform_mix": finite}  # the synthetic_od_seed parameters, with their readers
+
+
 def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> SynthConfig:
     if obj.get("generate_od") is not None:
-        generate = obj["generate_od"]
-        try:
-            whole = {key: _whole(generate[key], f"synth.generate_od.{key}")
-                     for key in ("n_neighborhoods", "n_pairs", "total", "seed") if key in generate}
-            od = synthetic_od_seed(**{**generate, **whole})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed synth.generate_od: {exc}") from None
+        generate = mapping(obj["generate_od"], "synth.generate_od", tuple(_GENERATE_OD))
+        od = synthetic_od_seed(**{key: _GENERATE_OD[key](value, f"synth.generate_od.{key}")
+                                  for key, value in generate.items()})
     elif obj.get("od_seed") is not None:
-        if obj.get("od_schema") is None:
-            raise ConfigError("an od_seed CSV needs an od_schema path")
-        od_schema = _load_schema(_resolve(obj["od_schema"], base_dir))
-        od = _read_histogram(_resolve(obj["od_seed"], base_dir), od_schema)
+        od_schema = _load_schema(file_path(obj.get("od_schema"), "synth.od_schema", base_dir))
+        od = _read_histogram(file_path(obj["od_seed"], "synth.od_seed", base_dir), od_schema)
     else:
         raise ConfigError("synth config needs od_seed or generate_od")
-    kwargs = {}
-    for key in ("gender_domain", "rating_domain"):
-        if key in obj:
-            kwargs[key] = tuple(obj[key])
-    if "rating_distribution" in obj:
-        kwargs["rating_distributions"] = tuple(obj["rating_distribution"])
-    elif "rating_distributions" in obj:
-        dists = obj["rating_distributions"]
-        kwargs["rating_distributions"] = (
-            {g: tuple(d) for g, d in dists.items()} if isinstance(dists, Mapping) else tuple(dists)
-        )
-    try:
-        return SynthConfig(
-            od_seed=od,
-            trips=_whole(_require(obj, "trips", "synth"), "synth.trips"),
-            mode=obj.get("mode", "uncorrelated"),
-            seed=_whole(obj.get("seed", 0), "synth.seed"),
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed synth config: {exc}") from None
+    domains = {key: labels(obj[key], f"synth.{key}") for key in ("gender_domain", "rating_domain") if key in obj}
+    return SynthConfig(
+        od_seed=od,
+        trips=whole(obj.get("trips"), "synth.trips"),
+        mode=obj.get("mode", "uncorrelated"),
+        rating_distributions=obj.get("rating_distribution", obj.get("rating_distributions")),
+        seed=whole(obj.get("seed", 0), "synth.seed"),
+        **domains,
+    )
 
 
 def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResult:
     kind = obj.get("kind")
+    if kind not in ("taxi", "bike"):
+        raise ConfigError(f"ingest kind must be taxi or bike, got {kind!r}")
+    trips_path = file_path(obj.get("trips_csv"), f"{kind}.trips_csv", base_dir)
     if kind == "taxi":
         config = TaxiConfig.from_json_obj(obj)
-        path = _resolve(_require(obj, "trips_csv", "taxi ingest"), base_dir)
         try:
-            with open(path, newline="", encoding="utf8") as f:
+            with open(trips_path, newline="", encoding="utf8") as f:
                 return taxi_preprocess(csv.DictReader(f), config)
         except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from None
-    if kind == "bike":
-        cfg_obj = dict(obj)
-        trips_path = _resolve(_require(obj, "trips_csv", "bike ingest"), base_dir)
-        riders_path = _resolve(_require(obj, "riders_csv", "bike ingest"), base_dir)
-        try:
-            if "neighborhoods_file" in cfg_obj and "neighborhoods" not in cfg_obj:
-                text = Path(_resolve(cfg_obj["neighborhoods_file"], base_dir)).read_text(encoding="utf8")
-                cfg_obj["neighborhoods"] = [line.strip() for line in text.splitlines() if line.strip()]
-            config = BikeConfig.from_json_obj(cfg_obj)
-            with open(trips_path, newline="", encoding="utf8") as tf, open(
-                riders_path, newline="", encoding="utf8"
-            ) as rf, warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
-                result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read ingest input: {exc}") from None
-        for msg in result.warnings:
-            print(f"warning: {msg}", file=sys.stderr)
-        return result
-    raise ConfigError(f"ingest kind must be taxi or bike, got {kind!r}")
+            raise ConfigError(f"cannot read {trips_path}: {exc}") from None
+    riders_path = file_path(obj.get("riders_csv"), "bike.riders_csv", base_dir)
+    try:
+        if "neighborhoods_file" in obj and "neighborhoods" not in obj:
+            listed = Path(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)).read_text("utf8")
+            obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
+        config = BikeConfig.from_json_obj(obj)
+        with open(trips_path, newline="", encoding="utf8") as tf, open(
+            riders_path, newline="", encoding="utf8"
+        ) as rf, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
+            result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
+    except OSError as exc:
+        raise ConfigError(f"cannot read ingest input: {exc}") from None
+    for msg in result.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+    return result
 
 
 def _load_pipeline_input(cfg: PipelineConfig) -> Histogram:
@@ -512,7 +453,7 @@ def _cmd_repair(args) -> int:
 def _cmd_privatize(args) -> int:
     obj = _load_json(args.config)
     privacy = _parse_privacy(obj)
-    seed = args.seed if args.seed is not None else _whole(obj.get("seed", 0), "seed")
+    seed = args.seed if args.seed is not None else whole(obj.get("seed", 0), "seed")
     h = _read_histogram(args.input, _load_schema(args.schema))
     params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)
@@ -546,8 +487,10 @@ def _cmd_measure(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = PipelineConfig.load(args.config)
-    epsilons = [_coerce(float, v, "--epsilons") for v in args.epsilons.split(",") if v.strip()]
-    rhos = [_coerce(float, v, "--rhos") for v in args.rhos.split(",") if v.strip()]
+    try:
+        epsilons, rhos = ([float(v) for v in grid.split(",") if v.strip()] for grid in (args.epsilons, args.rhos))
+    except ValueError as exc:
+        raise ConfigError(f"--epsilons and --rhos: expected comma-separated numbers ({exc})") from None
     run_sweep(cfg, epsilons, rhos, trials=args.trials, out_path=Path(args.out) / "sweep.csv", seed=args.seed)
     return 0
 
@@ -614,6 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            whole(args.seed, "--seed")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import finite, labels, mapping, numbers, text_map
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, BucketKey, Histogram
 from .rng import substream
@@ -39,6 +40,7 @@ DEFAULT_TAXI_COLUMNS = {
     "payment_type": "payment_type",
     "driver_id": "hack_license",
 }
+_BBOX_KEYS = ("lon_min", "lon_max", "lat_min", "lat_max")
 
 DEFAULT_RATING_DOMAIN = ("1", "2", "3", "4", "5")
 DEFAULT_GENDER_DOMAIN = ("m", "f", "o")
@@ -156,40 +158,29 @@ class TaxiConfig:
     tip_threshold: float = 0.2
 
     def __post_init__(self):
-        missing = set(DEFAULT_TAXI_COLUMNS) - set(self.columns)
-        if missing:
-            raise ConfigError(f"taxi column mapping missing roles: {sorted(missing)}")
+        wrong = set(DEFAULT_TAXI_COLUMNS) ^ set(self.columns)
+        if wrong:
+            raise ConfigError(f"taxi column mapping: missing or unknown roles {sorted(wrong)}")
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TaxiConfig":
-        columns = dict(DEFAULT_TAXI_COLUMNS)
-        given = obj.get("columns", {})
-        if not isinstance(given, Mapping):
-            raise ConfigError(f"taxi columns: expected an object, got {given!r}")
+        given = text_map(obj.get("columns", {}), "taxi.columns")
         # accept either orientation: {column name: role} or {role: column name}
         if given and set(given.values()) <= set(DEFAULT_TAXI_COLUMNS) and not (
             set(given) <= set(DEFAULT_TAXI_COLUMNS)
         ):
             given = {role: col for col, role in given.items()}
-        columns.update(given)
         bbox = obj.get("bbox", {})
         if isinstance(bbox, Mapping):
-            bbox = [bbox.get(k, d) for k, d in zip(("lon_min", "lon_max", "lat_min", "lat_max"), cls.bbox)]
-        try:
-            box = tuple(float(v) for v in bbox)
-            tip_threshold = float(obj.get("tip_threshold", cls.tip_threshold))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"taxi bbox and tip_threshold must be numbers: {exc}") from None
-        if len(box) != 4:
-            raise ConfigError(f"taxi bbox: expected lon_min, lon_max, lat_min, lat_max, got {bbox!r}")
-        card_values = obj.get("card_values", ["CRD"])
-        if not isinstance(card_values, list) or not all(isinstance(v, str) for v in card_values):
-            raise ConfigError(f"taxi card_values: expected a list of strings, got {card_values!r}")
+            bbox = mapping(bbox, "taxi.bbox", _BBOX_KEYS)
+            box = tuple(finite(bbox.get(k, d), f"taxi.bbox.{k}") for k, d in zip(_BBOX_KEYS, cls.bbox))
+        elif len(box := numbers(bbox, "taxi.bbox")) != 4:
+            raise ConfigError(f"taxi.bbox: expected lon_min, lon_max, lat_min, lat_max, got {bbox!r}")
         return cls(
-            columns=columns,
+            columns={**DEFAULT_TAXI_COLUMNS, **given},
             bbox=box,
-            card_values=tuple(card_values),
-            tip_threshold=tip_threshold,
+            card_values=labels(obj.get("card_values", ["CRD"]), "taxi.card_values"),
+            tip_threshold=finite(obj.get("tip_threshold", cls.tip_threshold), "taxi.tip_threshold"),
         )
 
 
@@ -412,21 +403,16 @@ class BikeConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BikeConfig":
-        try:
-            neighborhoods = tuple(obj["neighborhoods"])
-            companies = tuple(obj["companies"])
-        except KeyError as exc:
-            raise ConfigError(f"bike config missing {exc}") from None
-        kwargs = {}
-        for key in ("genders", "helmet_values"):
-            if key in obj:
-                kwargs[key] = tuple(obj[key])
+        kwargs = {key: labels(obj[key], f"bike.{key}") for key in ("genders", "helmet_values") if key in obj}
         for key in ("trip_columns", "rider_columns"):
             if key in obj:
-                base = dict(getattr(cls, "__dataclass_fields__")[key].default_factory())
-                base.update(obj[key])
-                kwargs[key] = base
-        return cls(neighborhoods=neighborhoods, companies=companies, **kwargs)
+                roles = cls.__dataclass_fields__[key].default_factory()
+                kwargs[key] = {**roles, **text_map(obj[key], f"bike.{key}", tuple(roles))}
+        return cls(
+            neighborhoods=labels(obj.get("neighborhoods"), "bike.neighborhoods"),
+            companies=labels(obj.get("companies"), "bike.companies"),
+            **kwargs,
+        )
 
 
 def bike_preprocess(
@@ -519,7 +505,7 @@ def bike_preprocess(
 
 
 def _check_distribution(dist: Sequence[float], size: int, what: str) -> tuple[float, ...]:
-    dist = tuple(float(p) for p in dist)
+    dist = numbers(dist, what)
     if len(dist) != size:
         raise ConfigError(f"{what} must have {size} entries, got {len(dist)}")
     if any(p < 0 for p in dist):
@@ -563,7 +549,7 @@ class SynthConfig:
         else:
             if dists is None:
                 dists = DEFAULT_CORRELATED_DISTS
-            if set(dists) != set(self.gender_domain):
+            if set(mapping(dists, "rating distributions")) != set(self.gender_domain):
                 raise ConfigError(
                     f"correlated mode needs one rating distribution per gender {self.gender_domain}"
                 )
@@ -624,14 +610,17 @@ def synthetic_od_seed(
     with a uniform floor (so tail strata keep workable mass), and assigns
     counts by one multinomial draw of `total` trips.
     """
-    if n_pairs > n_neighborhoods * n_neighborhoods:
-        raise ConfigError("more OD pairs requested than the neighborhood grid allows")
-    labels = tuple(f"n{i:02d}" for i in range(n_neighborhoods))
+    if not 1 <= n_pairs <= n_neighborhoods * n_neighborhoods:
+        raise ConfigError(f"n_pairs must be from 1 to n_neighborhoods**2, got {n_pairs}")
+    hoods = tuple(f"n{i:02d}" for i in range(n_neighborhoods))
     rng = substream(seed, "od-seed")
     flat = rng.choice(n_neighborhoods * n_neighborhoods, size=n_pairs, replace=False)
-    zipf = np.power(np.arange(1, n_pairs + 1, dtype=float), -skew)
-    weights = uniform_mix / n_pairs + (1.0 - uniform_mix) * zipf / zipf.sum()
+    with np.errstate(all="ignore"):  # a skew that overflows the weights is rejected below
+        zipf = np.power(np.arange(1, n_pairs + 1, dtype=float), -skew)
+        weights = uniform_mix / n_pairs + (1.0 - uniform_mix) * zipf / zipf.sum()
+    if not (0 <= uniform_mix <= 1 and np.isfinite(weights).all()):
+        raise ConfigError(f"uniform_mix {uniform_mix!r} is outside [0, 1] or skew {skew!r} overflows the weights")
     draws = rng.multinomial(total, weights / weights.sum())
 
-    schema = AttributeSchema((("origin", labels), ("destination", labels)))
+    schema = AttributeSchema((("origin", hoods), ("destination", hoods)))
     return Histogram.from_codes(schema, flat, draws)  # flat is the row-major code of each pair

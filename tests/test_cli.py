@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odrelease
 from odrelease import (
@@ -280,8 +283,7 @@ def synth_release_argv(tmp_path):
 
 
 def generate_od_argv(tmp_path, **fields):
-    synth = {"generate_od": {"n_neighborhoods": 4, "n_pairs": 3, **fields}, "trips": 100}
-    return release_argv(tmp_path, input=None, schema=None, synth=synth)
+    return synth_argv(tmp_path, generate_od={"n_neighborhoods": 4, "n_pairs": 3, **fields})
 
 
 def taxi_ingest_argv(tmp_path, **fields):
@@ -331,17 +333,23 @@ def repair_argv_with_count(tmp_path, raw):
     return with_input_count(tmp_path, repair_argv(tmp_path, {"x": "gender", "y": "rating", "z": ["origin"]}), raw)
 
 
-def bike_ingest_argv(tmp_path):
-    """A bike ingest in which company A reports a single gender."""
+def bike_ingest_argv(tmp_path, **fields):
+    """A bike ingest in which company A reports a single gender, with the given config fields."""
     (tmp_path / "trips.csv").write_text(
         "rider_id,start_nhood,end_nhood,start_time,company\n"
         "r1,Ballard,Fremont,08:00,A\nr2,Fremont,Ballard,09:00,B\nr3,Ballard,Ballard,18:00,B\n"
     )
     (tmp_path / "riders.csv").write_text("rider_id,gender,helmet\nr1,female,yes\nr2,female,no\nr3,male,yes\n")
     config = {"kind": "bike", "trips_csv": "trips.csv", "riders_csv": "riders.csv",
-              "neighborhoods": ["Ballard", "Fremont"], "companies": ["A", "B"]}
+              "neighborhoods": ["Ballard", "Fremont"], "companies": ["A", "B"], **fields}
     (tmp_path / "bike.json").write_text(json.dumps(config))
     return ["ingest", "--config", str(tmp_path / "bike.json")]
+
+
+def synth_argv(tmp_path, **fields):
+    """A pipeline over a tiny generated synth source, with the given synth config fields."""
+    synth = {"generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100, **fields}
+    return release_argv(tmp_path, input=None, schema=None, synth=synth)
 
 
 def privatize_argv(tmp_path, privacy):
@@ -395,6 +403,29 @@ MALFORMED_INPUTS = {
     "generate-od-total-fractional": (lambda t: generate_od_argv(t, total=1000.7), 2),
     "generate-od-n-pairs-fractional": (lambda t: generate_od_argv(t, n_pairs=3.5), 2),
     "generate-od-n-neighborhoods-fractional": (lambda t: generate_od_argv(t, n_neighborhoods=4.5), 2),
+    "generate-od-n-pairs-zero": (lambda t: generate_od_argv(t, n_pairs=0), 2),
+    "bike-trip-columns-a-number": (lambda t: bike_ingest_argv(t, trip_columns=5), 2),
+    "bike-companies-a-number": (lambda t: bike_ingest_argv(t, companies=7), 2),
+    "bike-genders-null": (lambda t: bike_ingest_argv(t, genders=None), 2),
+    "bike-neighborhoods-a-string": (lambda t: bike_ingest_argv(t, neighborhoods="BallardFremont"), 2),
+    "bike-duplicate-neighborhoods": (lambda t: bike_ingest_argv(t, neighborhoods=["Ballard", "Fremont", "Ballard"]), 2),
+    "synth-rating-distribution-nan": (lambda t: synth_argv(t, rating_distribution=[math.nan, 0.5, 0.5, 0, 0]), 2),
+    "synth-gender-domain-a-string": (lambda t: synth_argv(t, gender_domain="mf"), 2),
+    "synth-a-string": (lambda t: release_argv(t, input=None, schema=None, synth="x"), 2),
+    "ingest-a-string": (lambda t: release_argv(t, input=None, schema=None, ingest="x"), 2),
+    "schema-a-number": (lambda t: release_argv(t, schema=5), 2),
+    "input-a-number": (lambda t: release_argv(t, input=5), 2),
+    "taxi-bbox-infinite": (lambda t: taxi_config_argv(t, bbox=[-math.inf, -73.6, 40.4, 41.0]), 2),
+    "taxi-bbox-nan": (lambda t: taxi_config_argv(t, bbox=[-74.3, -73.6, math.nan, 41.0]), 2),
+    "taxi-bbox-unknown-key": (lambda t: taxi_config_argv(t, bbox={"lon_mn": -74.0}), 2),
+    "taxi-tip-threshold-nan": (lambda t: taxi_config_argv(t, tip_threshold=math.nan), 2),
+    "taxi-column-name-a-number": (lambda t: taxi_config_argv(t, columns={"fare_amount": 5}), 2),
+    "taxi-columns-unknown-role": (lambda t: taxi_config_argv(t, columns={"fare": "fare_amount", "tips": "tip"}), 2),
+    "bike-trip-columns-unknown-role": (lambda t: bike_ingest_argv(t, trip_columns={"start_time": "start_time"}), 2),
+    "epsilon-a-numeric-string": (lambda t: release_argv(t, privacy={"epsilon": "1.5", "rho": 0.9}), 2),
+    "epsilon-true": (lambda t: privatize_argv(t, {"epsilon": True, "rho": 0.9}), 2),
+    "epsilon-integer-beyond-float": (lambda t: privatize_argv(t, {"epsilon": 10**400, "rho": 0.9}), 2),
+    "seed-flag-negative": (lambda t: [*release_argv(t), "--seed", "-1"], 2),
 }
 
 
@@ -407,6 +438,77 @@ def test_malformed_input_exits_with_typed_error(tmp_path, case):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("config error:" if code == 2 else "data error:")
     assert not out.exists()  # rejected before any output is written
+
+
+def synth_command_argv(tmp_path, config):
+    """A synth command on the given config."""
+    (tmp_path / "synth.json").write_text(json.dumps(config))
+    return ["synth", "--config", str(tmp_path / "synth.json")]
+
+
+def bike_file_ingest_argv(tmp_path):
+    """A bike ingest that lists its neighborhoods in a file."""
+    argv = bike_ingest_argv(tmp_path)
+    config = json.loads((tmp_path / "bike.json").read_text())
+    del config["neighborhoods"]
+    (tmp_path / "nhoods.txt").write_text("Ballard\nFremont\n")
+    (tmp_path / "bike.json").write_text(json.dumps({**config, "neighborhoods_file": "nhoods.txt"}))
+    return argv
+
+
+# One example of each config, with most optional fields spelled out.
+FUZZ_EXAMPLES = {
+    "pipeline": lambda t: release_argv(t, order="privacy-first", empty_release_ok=False, bootstrap={"replicates": 2},
+                                       privacy={"epsilon": 2.0, "rho": 0.9, "n": 40}),
+    "pipeline-synth": lambda t: synth_argv(t, generate_od={"n_neighborhoods": 4, "n_pairs": 3, "total": 500,
+                                                           "seed": 2, "skew": 0.7, "uniform_mix": 0.5},
+                                           mode="uncorrelated", rating_distribution=[0.2] * 5, seed=1),
+    "synth": lambda t: synth_command_argv(t, {
+        "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100, "mode": "correlated", "seed": 4,
+        "gender_domain": ["m", "f"], "rating_domain": ["1", "2"],
+        "rating_distributions": {"m": [0.7, 0.3], "f": [0.4, 0.6]}}),
+    "taxi": lambda t: taxi_config_argv(t, columns={"hack_license": "driver_id"}, card_values=["CRD", "CSH"],
+                                       bbox={"lon_min": -74.3, "lon_max": -73.6, "lat_min": 40.4, "lat_max": 41.0},
+                                       tip_threshold=0.2),
+    "bike": lambda t: bike_ingest_argv(t, genders=["male", "female", "other"], helmet_values=["yes", "no"],
+                                       trip_columns={"time": "start_time"}, rider_columns={"helmet": "helmet"}),
+    "bike-file": bike_file_ingest_argv,
+    "privatize": lambda t: privatize_argv(t, {"epsilon": 5.0, "rho": 0.9, "n": 40, "seed": 3}),
+    "repair": lambda t: repair_argv(t, {"x": "gender", "y": "rating", "z": ["origin"]}),
+}
+RAW_1E999 = "<1e999>"  # written into the config text as the bare JSON number 1e999, which reads as inf
+ADVERSARIAL_VALUES = (math.nan, math.inf, -math.inf, RAW_1E999, -1, 2.5, "7", "", [], {}, True, None)
+
+
+def json_paths(value, path=()):
+    """The path of every object field and list item within value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_EXAMPLES)), st.data())
+def test_any_one_malformed_config_field_exits_with_a_code(example, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        argv = FUZZ_EXAMPLES[example](tmp_path)
+        config_path = Path(argv[argv.index("--config") + 1])
+        config = json.loads(config_path.read_text())
+        path = data.draw(st.sampled_from(list(json_paths(config))), label="path")
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        original = parent[path[-1]]
+        list_as_string = ("".join(map(str, original)),) if isinstance(original, list) else ()
+        parent[path[-1]] = data.draw(st.sampled_from(ADVERSARIAL_VALUES + list_as_string), label="value")
+        config_path.write_text(json.dumps(config).replace(json.dumps(RAW_1E999), "1e999"))
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert not out.exists()
 
 
 def test_each_ingest_warning_is_one_stderr_line(tmp_path):

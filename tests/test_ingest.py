@@ -332,6 +332,14 @@ class TestSynth:
         with pytest.raises(ConfigError):
             SynthConfig(od_seed=od, trips=10, mode="correlated", rating_distributions={"m": (0.2,) * 5})
 
+    def test_nan_distribution_rejected(self):
+        od = synthetic_od_seed(n_neighborhoods=6, n_pairs=4, total=100, seed=0)
+        with pytest.raises(ConfigError):
+            SynthConfig(od_seed=od, trips=10, rating_distributions=(math.nan, 0.25, 0.25, 0.25, 0.25))
+        with pytest.raises(ConfigError):
+            SynthConfig(od_seed=od, trips=10, mode="correlated",
+                        rating_distributions={g: (math.nan, 0.5, 0.5, 0.0, 0.0) for g in ("m", "f", "o")})
+
     def test_od_seed_must_have_two_attributes(self):
         schema_3 = synth_generate(
             SynthConfig(od_seed=synthetic_od_seed(6, 4, 100, 0), trips=10, seed=1)
