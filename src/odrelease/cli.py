@@ -130,8 +130,8 @@ class PipelineConfig:
         sources = [k for k in ("input", "synth", "ingest") if k in given]
         if len(sources) != 1:
             raise ConfigError(f"exactly one of input/synth/ingest must be set, got {sources}")
-        if "input" in given and "schema" not in given:
-            raise ConfigError("an input histogram needs a schema path")
+        if ("input" in given) != ("schema" in given):
+            raise ConfigError("an input histogram needs a schema path, and only an input histogram reads one")
 
         configured = {name for name in ("repair", "privacy") if name in given}
         if not configured:

@@ -155,10 +155,13 @@ class AttributeSchema:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "AttributeSchema":
         try:
-            attrs = tuple((a["name"], tuple(a["domain"])) for a in obj["attributes"])
+            attrs = tuple((a["name"], a["domain"]) for a in obj["attributes"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema object: {exc}") from None
-        return cls(attrs)
+        for name, domain in attrs:
+            if not (isinstance(domain, list) and all(isinstance(label, str) for label in domain)):
+                raise SchemaError(f"attribute {name!r}: the domain must be a list of strings, got {domain!r}")
+        return cls(tuple((name, tuple(domain)) for name, domain in attrs))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n", encoding="utf8")

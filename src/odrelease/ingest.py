@@ -176,6 +176,9 @@ class TaxiConfig:
             box = tuple(finite(bbox.get(k, d), f"taxi.bbox.{k}") for k, d in zip(_BBOX_KEYS, cls.bbox))
         elif len(box := numbers(bbox, "taxi.bbox")) != 4:
             raise ConfigError(f"taxi.bbox: expected lon_min, lon_max, lat_min, lat_max, got {bbox!r}")
+        lon_min, lon_max, lat_min, lat_max = box
+        if not (-180 <= lon_min < lon_max <= 180 and -90 <= lat_min < lat_max <= 90):
+            raise ConfigError(f"taxi.bbox: expected -180 <= lon_min < lon_max <= 180 and -90 <= lat_min < lat_max <= 90, got {box}")
         return cls(
             columns={**DEFAULT_TAXI_COLUMNS, **given},
             bbox=box,

@@ -12,6 +12,7 @@ repair or release is judged.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -75,24 +76,25 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
 
     sigma must be a permutation of 1..m.  A bottom-up merge over position
     blocks of width w = 1, 2, 4, ...: the slots of each block hold its
-    positions in value order, so with key = slot // 2w * (m + 1) + value the
-    left blocks form one sorted array, two searchsorted calls count for each
-    element of a right block the smaller ones of the left block it merges
-    with, and sorting the keys merges every pair.
+    positions in value order, and sorting key = slot // 2w * (m + 1) + value
+    merges each pair of blocks.  An element of a right block at slot s moves
+    to slot merged[s] = s - w + (the number of smaller elements in the left
+    block), and the count of each slot moves with it.  Positions and counts
+    take sigma's integer type; the keys need int64.
     """
     m = len(sigma)
-    smaller = np.zeros(m, dtype=np.int64)
-    slots = np.arange(m)
-    pos = slots
-    width = 1
-    while width < m:
-        key = slots // (2 * width) * (m + 1) + sigma[pos]
-        right = slots // width % 2 == 1
-        left_keys, right_keys, right_pos = key[~right], key[right], pos[right]
-        block_start = right_keys - sigma[right_pos]
-        smaller[right_pos] += np.searchsorted(left_keys, right_keys) - np.searchsorted(left_keys, block_start)
-        pos = pos[np.argsort(key, kind="stable")]
-        width *= 2
+    slots = np.arange(m, dtype=sigma.dtype)
+    pos, values, count = slots, sigma, np.zeros_like(sigma)
+    merged = np.empty_like(sigma)
+    shift = 0
+    while (width := 1 << shift) < m:
+        order = np.argsort((slots >> (shift + 1)).astype(np.int64) * (m + 1) + values, kind="stable")
+        merged[order] = slots
+        count += np.where(slots & width, merged - slots + width, 0)
+        pos, values, count = pos[order], values[order], count[order]
+        shift += 1
+    smaller = np.empty_like(sigma)
+    smaller[pos] = count
     return smaller
 
 
@@ -101,10 +103,12 @@ def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray
 
     Both rankings sort by (count descending, key ascending).  The items are
     given in reference ranking order, so only the other ranking needs
-    sorting; key_rank sorts the items like their keys do.
+    sorting; key_rank sorts the items like their keys do.  sigma is int32
+    while it can be, which halves the merge's memory traffic.
     """
-    sigma = np.empty(len(other_counts), dtype=np.int64)
-    sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, len(other_counts) + 1)
+    m = len(other_counts)
+    sigma = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
+    sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, m + 1)
     return sigma
 
 
@@ -122,7 +126,8 @@ def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting
         return 0.0
     weights = _position_weights(m, weighting)
     sigma = _ranking_sigma(other_counts, key_rank)
-    participation = np.arange(m) + sigma - 1 - 2 * _smaller_before(sigma)
+    smaller = _smaller_before(sigma).astype(np.int64)
+    participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller
     return 0.5 * math.fsum((weights * participation).tolist())
 
 
@@ -163,6 +168,21 @@ def _resolve_metric(metric) -> str | MetricFn:
     raise ConfigError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
 
 
+# A replicate at M holds the GIL for about a fifth of its time (two threads
+# ran it 1.66x faster than one), so threads beyond a few would mostly wait.
+_MAX_WORKERS = 4
+
+
+def _bootstrap_workers(resolved: Mapping[str, object], replicates: int) -> int:
+    """Threads to split the replicates over: the CPUs this process may run on,
+    at most _MAX_WORKERS, and one when a metric is a callable, which need not
+    be thread-safe."""
+    if any(callable(metric) for metric in resolved.values()):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS, replicates)
+
+
 def bootstrap_distances(
     h: Histogram,
     metrics: Mapping[str, object],
@@ -177,6 +197,12 @@ def bootstrap_distances(
     owns an independent substream of (seed, replicate index), so replicates
     are order independent and results for a given seed do not depend on
     which metrics are requested.
+
+    The replicates run in contiguous chunks on the CPUs available to the
+    process: the calling thread runs the first chunk and helper threads the
+    others.  Each result is stored by replicate index, so the output does not
+    depend on how many CPUs there are.  All substreams are opened on the
+    calling thread before the helpers start.
     """
     if not h.integral:
         raise DataError("bootstrap resampling requires an integer-mode histogram")
@@ -193,18 +219,34 @@ def bootstrap_distances(
     key_rank = h.schema.lex_rank(codes)
 
     out = {name: np.empty(replicates) for name in resolved}
-    for r in range(replicates):
-        sample = substream(seed, "bootstrap", r).multinomial(total, probs).astype(float)
-        replicate_hist = None
-        for name, metric in resolved.items():
-            if metric == "pwkt":
-                out[name][r] = _pwkt_from_vectors(sample, key_rank)
-            elif metric == "hellinger":
-                out[name][r] = _hellinger_from_vectors(probs, sample / total)
-            else:
-                if replicate_hist is None:
-                    replicate_hist = Histogram.from_codes(h.schema, codes, sample)
-                out[name][r] = metric(h, replicate_hist)
+    streams = [substream(seed, "bootstrap", r) for r in range(replicates)]
+
+    def run(chunk: range) -> None:
+        for r in chunk:
+            sample = streams[r].multinomial(total, probs).astype(float)
+            replicate_hist = None
+            for name, metric in resolved.items():
+                if metric == "pwkt":
+                    out[name][r] = _pwkt_from_vectors(sample, key_rank)
+                elif metric == "hellinger":
+                    out[name][r] = _hellinger_from_vectors(probs, sample / total)
+                else:
+                    if replicate_hist is None:
+                        replicate_hist = Histogram.from_codes(h.schema, codes, sample)
+                    out[name][r] = metric(h, replicate_hist)
+
+    workers = _bootstrap_workers(resolved, replicates)
+    chunks = [range(replicates * i // workers, replicates * (i + 1) // workers) for i in range(workers)]
+    if workers == 1:
+        run(chunks[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(run, chunk) for chunk in chunks[1:]]
+            run(chunks[0])
+            for helper in helpers:
+                helper.result()
     return out
 
 

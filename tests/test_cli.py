@@ -426,6 +426,10 @@ MALFORMED_INPUTS = {
     "epsilon-true": (lambda t: privatize_argv(t, {"epsilon": True, "rho": 0.9}), 2),
     "epsilon-integer-beyond-float": (lambda t: privatize_argv(t, {"epsilon": 10**400, "rho": 0.9}), 2),
     "seed-flag-negative": (lambda t: [*release_argv(t), "--seed", "-1"], 2),
+    "taxi-bbox-reversed": (lambda t: taxi_config_argv(t, bbox={"lon_min": 2.5}), 2),
+    "taxi-bbox-beyond-globe": (lambda t: taxi_config_argv(t, bbox=[-74.3, -73.6, 40.4, 91.0]), 2),
+    "schema-next-to-synth": (lambda t: release_argv(t, input=None, schema="7", synth={
+        "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100}), 2),
 }
 
 

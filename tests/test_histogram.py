@@ -60,6 +60,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             two_attr_schema().index_of(("a",))
 
+    @pytest.mark.parametrize("domain", ["mf", ["m", 1], 5, None, {"m": "f"}])
+    def test_schema_file_domain_must_be_a_list_of_strings(self, domain):
+        with pytest.raises(SchemaError, match="list of strings"):
+            AttributeSchema.from_json_obj({"attributes": [{"name": "gender", "domain": domain}]})
+
     def test_json_roundtrip(self, tmp_path):
         schema = two_attr_schema()
         schema.save(tmp_path / "schema.json")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from odrelease import (
     pwkt,
     support_union,
 )
+from odrelease import metrics
 from odrelease.metrics import _smaller_before
 from helpers import (
     full_reversal_closed_form,
@@ -187,6 +190,65 @@ class TestBootstrap:
 
         bootstrap_band(h, probe, replicates=25, seed=1)
         assert seen == [h.total] * 25
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_distances_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})  # tied counts
+        wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: 1)
+        serial = bootstrap_distances(h, wanted, 5, seed=8)
+        threads = set()
+        kernel = metrics._pwkt_from_vectors
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recorded)
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            split = bootstrap_distances(h, wanted, 5, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1  # the helpers did run replicates
+        for name in wanted:
+            assert serial[name].tobytes() == split[name].tobytes()
+
+    def test_worker_count_is_bounded_by_cpus_cap_and_replicates(self, monkeypatch):
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200) == metrics._MAX_WORKERS
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 2) == 2
+        assert metrics._bootstrap_workers({"d": "pwkt", "f": lambda reference, replicate: 0.0}, 200) == 1
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200) == 1
+
+    def test_a_callable_metric_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        h = hist("abcde", {"a": 13, "b": 9, "c": 4})
+        threads = set()
+
+        def probe(reference, replicate):
+            threads.add(threading.get_ident())
+            return 0.0
+
+        bootstrap_distances(h, {"pwkt": "pwkt", "probe": probe}, 12, seed=1)
+        assert threads == {threading.get_ident()}
+
+    def test_every_substream_is_opened_on_the_calling_thread(self, monkeypatch):
+        h = hist("abcdef", {"a": 40, "b": 25, "c": 12, "d": 6, "e": 2})
+        threads = []
+        opened = metrics.substream
+
+        def recorder(*args):
+            threads.append(threading.get_ident())
+            return opened(*args)
+
+        monkeypatch.setattr(metrics, "substream", recorder)
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: 3)
+        bootstrap_distances(h, {"pwkt": "pwkt", "hellinger": "hellinger"}, 12, seed=2)
+        assert threads == [threading.get_ident()] * 12
 
     def test_band_matches_percentiles_of_distances(self):
         h = hist("abcdef", {"a": 40, "b": 25, "c": 12, "d": 6, "e": 2})

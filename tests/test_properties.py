@@ -36,6 +36,7 @@ from odrelease import (
 )
 from odrelease import ingest
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
+from odrelease.metrics import _smaller_before
 
 from helpers import largest_remainder_repair, privatize_per_bin, pwkt_bruteforce, ranking_of, taxi_preprocess_per_row
 
@@ -76,6 +77,15 @@ def histogram_pairs(draw, schema_strategy=schemas(), max_count=3):
     if draw(st.booleans()):  # force disjoint supports
         other = Histogram(schema, {k: c for k, c in other.items() if k not in reference})
     return reference, other
+
+
+@property_settings
+@given(st.integers(1, 300).flatmap(lambda m: st.permutations(range(1, m + 1))))
+def test_smaller_before_matches_the_brute_force_count(sigma):
+    sigma = np.array(sigma)
+    # row j, column i: i < j and sigma[i] < sigma[j]
+    expected = np.tril(sigma[None, :] < sigma[:, None], k=-1).sum(axis=1)
+    assert _smaller_before(sigma).tolist() == expected.tolist()
 
 
 @property_settings
