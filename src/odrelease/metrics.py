@@ -169,7 +169,8 @@ def _resolve_metric(metric) -> str | MetricFn:
 
 
 # A replicate at M holds the GIL for about a fifth of its time (two threads
-# ran it 1.66x faster than one), so threads beyond a few would mostly wait.
+# ran 1.6-1.75x as many replicates a second as one), so threads beyond a
+# few would mostly wait for it.
 _MAX_WORKERS = 4
 
 
@@ -200,9 +201,10 @@ def bootstrap_distances(
 
     The replicates run in contiguous chunks on the CPUs available to the
     process: the calling thread runs the first chunk and helper threads the
-    others.  Each result is stored by replicate index, so the output does not
-    depend on how many CPUs there are.  All substreams are opened on the
-    calling thread before the helpers start.
+    others, or the calling thread all of them when a metric is a callable.
+    Each result is stored by replicate index, so the output does not depend
+    on how many CPUs there are.  All substreams are opened on the calling
+    thread before the helpers start.
     """
     if not h.integral:
         raise DataError("bootstrap resampling requires an integer-mode histogram")
@@ -240,6 +242,7 @@ def bootstrap_distances(
     if workers == 1:
         run(chunks[0])
     else:
+        # Imported here: with the logging it pulls in, about 7 ms at start-up.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
