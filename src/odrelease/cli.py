@@ -3,6 +3,10 @@
 Subcommands: ingest, synth, repair, privatize, release, measure, sweep.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 empty release
 (the warning-as-status default; set "empty_release_ok": true to get 0).
+An input that cannot be read, an --out that cannot be created, or a config
+or schema file that is not UTF-8 JSON exits 2.  A CSV or neighbourhood file
+that is not UTF-8, or has a field over the csv module's limit, exits 3.
+main is the one place that maps exceptions to these codes.
 Every run is reproducible bit for bit given its config and seed: all
 randomized stages draw from labelled substreams of one master seed.
 """
@@ -20,7 +24,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .config import file_path, finite, flag, labels, mapping, whole
-from .errors import ConfigError, DataError, ODReleaseError
+from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
     BikeConfig,
@@ -48,43 +52,33 @@ STAGES = {
 }
 ORDERS = tuple(STAGES)
 
+# The keys a config object may hold: a misspelt "privacy" must not drop a stage.
+PIPELINE_KEYS = ("input", "schema", "synth", "ingest", "repair", "privacy", "order", "bootstrap", "seed",
+                 "empty_release_ok")
+PRIVACY_KEYS = ("epsilon", "rho", "n")
+SYNTH_KEYS = ("generate_od", "od_seed", "od_schema", "trips", "mode", "rating_distribution",
+              "rating_distributions", "seed", "gender_domain", "rating_domain")
 
-def _load_json(path) -> Mapping:
+
+def _load_json(path):
+    """The JSON value in the config or schema file at path."""
     try:
-        return mapping(json.loads(Path(path).read_text(encoding="utf8")), str(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        return json.loads(Path(path).read_text(encoding="utf8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 
 def _write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf8")
 
 
-def _load_schema(path) -> AttributeSchema:
-    try:
-        return AttributeSchema.load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read schema {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"schema {path} is not valid JSON: {exc}") from None
-
-
-def _read_histogram(path, schema: AttributeSchema) -> Histogram:
-    try:
-        return read_histogram_csv(path, schema)
-    except OSError as exc:
-        raise ConfigError(f"cannot read histogram {path}: {exc}") from None
-
-
-def _parse_privacy(obj) -> dict:
+def _parse_privacy(obj, keys=PRIVACY_KEYS) -> dict:
     """The epsilon, rho and optional n of a privacy config, checked and typed.
 
     The one reader of privacy configs (release, sweep and privatize), so the
     result can be passed as PrivacyParams.for_histogram(h, **parsed).
     """
-    obj = mapping(obj, "privacy")
+    obj = mapping(obj, "privacy", keys)
     return {
         "epsilon": finite(obj.get("epsilon"), "privacy.epsilon"),
         "rho": finite(obj.get("rho"), "privacy.rho"),
@@ -98,7 +92,7 @@ def _parse_repair(obj) -> RepairSpec:
     Attribute names are checked against a schema only once the input has
     loaded, so an unknown name stays a data error.
     """
-    obj = mapping(obj, "repair")
+    obj = mapping(obj, "repair", ("x", "y", "z"))
     z = labels(obj.get("z", []), "repair.z", empty=True)
     x, y, *_ = labels([obj.get("x"), obj.get("y"), *z], "repair x, y and z")  # RepairSpec's rule, as a ConfigError
     return RepairSpec(x, y, z)
@@ -125,7 +119,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, base_dir: Path | None = None) -> "PipelineConfig":
-        obj = mapping(obj, "pipeline config")
+        obj = mapping(obj, "pipeline config", PIPELINE_KEYS)
         given = {key for key, value in obj.items() if value is not None}  # a null field is an absent one
         sources = [k for k in ("input", "synth", "ingest") if k in given]
         if len(sources) != 1:
@@ -148,7 +142,7 @@ class PipelineConfig:
                 f"got {' and '.join(sorted(configured))}"
             )
 
-        bootstrap = mapping(obj.get("bootstrap", {}), "bootstrap")
+        bootstrap = mapping(obj.get("bootstrap", {}), "bootstrap", ("replicates",))
         replicates = whole(bootstrap.get("replicates", 200), "bootstrap.replicates")
         if replicates < 2:
             raise ConfigError(f"bootstrap.replicates must be at least 2, got {replicates}")
@@ -176,13 +170,15 @@ _GENERATE_OD = {"n_neighborhoods": whole, "n_pairs": whole, "total": whole, "see
 
 
 def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> SynthConfig:
+    obj = mapping(obj, "synth", SYNTH_KEYS)
     if obj.get("generate_od") is not None:
         generate = mapping(obj["generate_od"], "synth.generate_od", tuple(_GENERATE_OD))
         od = synthetic_od_seed(**{key: _GENERATE_OD[key](value, f"synth.generate_od.{key}")
                                   for key, value in generate.items()})
     elif obj.get("od_seed") is not None:
-        od_schema = _load_schema(file_path(obj.get("od_schema"), "synth.od_schema", base_dir))
-        od = _read_histogram(file_path(obj["od_seed"], "synth.od_seed", base_dir), od_schema)
+        od_schema = file_path(obj.get("od_schema"), "synth.od_schema", base_dir)
+        od = read_histogram_csv(file_path(obj["od_seed"], "synth.od_seed", base_dir),
+                                AttributeSchema.from_json_obj(_load_json(od_schema)))
     else:
         raise ConfigError("synth config needs od_seed or generate_od")
     domains = {key: labels(obj[key], f"synth.{key}") for key in ("gender_domain", "rating_domain") if key in obj}
@@ -197,30 +193,24 @@ def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> Syn
 
 
 def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResult:
-    kind = obj.get("kind")
+    kind = mapping(obj, "ingest").get("kind")
     if kind not in ("taxi", "bike"):
         raise ConfigError(f"ingest kind must be taxi or bike, got {kind!r}")
     trips_path = file_path(obj.get("trips_csv"), f"{kind}.trips_csv", base_dir)
     if kind == "taxi":
         config = TaxiConfig.from_json_obj(obj)
-        try:
-            with open(trips_path, newline="", encoding="utf8") as f:
-                return taxi_preprocess(csv.DictReader(f), config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {trips_path}: {exc}") from None
+        with open(trips_path, newline="", encoding="utf8") as f:
+            return taxi_preprocess(csv.DictReader(f), config)
     riders_path = file_path(obj.get("riders_csv"), "bike.riders_csv", base_dir)
-    try:
-        if "neighborhoods_file" in obj and "neighborhoods" not in obj:
-            listed = Path(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)).read_text("utf8")
-            obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
-        config = BikeConfig.from_json_obj(obj)
-        with open(trips_path, newline="", encoding="utf8") as tf, open(
-            riders_path, newline="", encoding="utf8"
-        ) as rf, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
-            result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
-    except OSError as exc:
-        raise ConfigError(f"cannot read ingest input: {exc}") from None
+    if "neighborhoods_file" in obj and "neighborhoods" not in obj:
+        listed = Path(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)).read_text("utf8")
+        obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
+    config = BikeConfig.from_json_obj(obj)
+    with open(trips_path, newline="", encoding="utf8") as tf, open(
+        riders_path, newline="", encoding="utf8"
+    ) as rf, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
+        result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return result
@@ -228,7 +218,7 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
 
 def _load_pipeline_input(cfg: PipelineConfig) -> Histogram:
     if cfg.input_path is not None:
-        return _read_histogram(cfg.input_path, _load_schema(cfg.schema_path))
+        return read_histogram_csv(cfg.input_path, AttributeSchema.from_json_obj(_load_json(cfg.schema_path)))
     if cfg.synth is not None:
         return synth_generate(_build_synth_config(cfg.synth, cfg.base_dir))
     return _run_ingest(cfg.ingest, cfg.base_dir).histogram
@@ -346,9 +336,9 @@ def run_measure(
     write_replicates: bool = False,
 ) -> DistanceReport:
     """Distance report between two histogram files over one schema."""
-    schema = _load_schema(schema_path)
-    reference = _read_histogram(reference_path, schema)
-    other = _read_histogram(other_path, schema)
+    schema = AttributeSchema.from_json_obj(_load_json(schema_path))
+    reference = read_histogram_csv(reference_path, schema)
+    other = read_histogram_csv(other_path, schema)
     distances = bootstrap_distances(reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed)
     report = distance_report(reference, other, distances, seed)
     if out_dir is not None:
@@ -427,9 +417,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    obj = _load_json(args.config)
+    obj = mapping(_load_json(args.config), "synth")
     if args.seed is not None:
-        obj["seed"] = args.seed
+        obj = {**obj, "seed": args.seed}
     h = synth_generate(_build_synth_config(obj, base_dir=Path(args.config).parent))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,7 +430,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_repair(args) -> int:
     spec = _parse_repair(_load_json(args.config))
-    h = _read_histogram(args.input, _load_schema(args.schema))
+    h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
     result = repair(h, spec, rounding=args.rounding)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -452,9 +442,9 @@ def _cmd_repair(args) -> int:
 
 def _cmd_privatize(args) -> int:
     obj = _load_json(args.config)
-    privacy = _parse_privacy(obj)
+    privacy = _parse_privacy(obj, (*PRIVACY_KEYS, "seed"))
     seed = args.seed if args.seed is not None else whole(obj.get("seed", 0), "seed")
-    h = _read_histogram(args.input, _load_schema(args.schema))
+    h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
     params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)
     out = Path(args.out)
@@ -560,14 +550,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             whole(args.seed, "--seed")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path: an input not read, an --out not made
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError, csv.Error) as exc:  # a CSV that is not UTF-8 or has an overlong field
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except ODReleaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

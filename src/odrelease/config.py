@@ -61,4 +61,7 @@ def flag(value, what: str) -> bool:
 def mapping(value, what: str, keys=None) -> Mapping:
     """value, when it is an object, and one whose every key is in `keys` when they are given."""
     _expect(isinstance(value, Mapping), value, what, "an object")
-    return _expect(keys is None or set(value) <= set(keys), value, what, f"only the keys {keys}")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {unknown}; expected only {list(keys)}")
+    return value

@@ -41,6 +41,9 @@ DEFAULT_TAXI_COLUMNS = {
     "driver_id": "hack_license",
 }
 _BBOX_KEYS = ("lon_min", "lon_max", "lat_min", "lat_max")
+TAXI_KEYS = ("kind", "trips_csv", "columns", "bbox", "card_values", "tip_threshold")
+BIKE_KEYS = ("kind", "trips_csv", "riders_csv", "neighborhoods", "neighborhoods_file", "companies", "genders",
+             "helmet_values", "trip_columns", "rider_columns")
 
 DEFAULT_RATING_DOMAIN = ("1", "2", "3", "4", "5")
 DEFAULT_GENDER_DOMAIN = ("m", "f", "o")
@@ -164,6 +167,7 @@ class TaxiConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TaxiConfig":
+        obj = mapping(obj, "taxi", TAXI_KEYS)
         given = text_map(obj.get("columns", {}), "taxi.columns")
         # accept either orientation: {column name: role} or {role: column name}
         if given and set(given.values()) <= set(DEFAULT_TAXI_COLUMNS) and not (
@@ -406,6 +410,7 @@ class BikeConfig:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "BikeConfig":
+        obj = mapping(obj, "bike", BIKE_KEYS)
         kwargs = {key: labels(obj[key], f"bike.{key}") for key in ("genders", "helmet_values") if key in obj}
         for key in ("trip_columns", "rider_columns"):
             if key in obj:

@@ -362,6 +362,20 @@ def privatize_argv(tmp_path, privacy):
     ]
 
 
+def with_replaced(path, argv, old, new):
+    """argv, after replacing `old` by `new` in the file at path and writing it in Latin-1: not UTF-8 unless ASCII."""
+    path.write_bytes(path.read_text().replace(old, new).encode("latin-1"))
+    return argv
+
+
+def misspelt_pipeline_argv(tmp_path, key, typo):
+    """A pipeline whose `key` is spelt `typo`."""
+    return with_replaced(tmp_path / "pipeline.json", release_argv(tmp_path), f'"{key}"', f'"{typo}"')
+
+
+LONG_FIELD = "d" * 200_000  # over the csv module's default field limit of 131,072 characters
+
+
 MALFORMED_INPUTS = {
     "epsilon-not-a-number": (lambda t: release_argv(t, privacy={"epsilon": "abc", "rho": 0.9}), 2),
     "n-a-string": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": "7"}), 2),
@@ -430,6 +444,19 @@ MALFORMED_INPUTS = {
     "taxi-bbox-beyond-globe": (lambda t: taxi_config_argv(t, bbox=[-74.3, -73.6, 40.4, 91.0]), 2),
     "schema-next-to-synth": (lambda t: release_argv(t, input=None, schema="7", synth={
         "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100}), 2),
+    "config-not-utf8": (lambda t: with_replaced(t / "pipeline.json", release_argv(t), "gender", "g\u00e9nder"), 2),
+    "config-nested-too-deep": (lambda t: with_replaced(t / "pipeline.json", release_argv(t), "{", "[" * 100_000), 2),
+    "schema-not-utf8": (lambda t: with_replaced(t / "schema.json", release_argv(t), "o1", "\u00f61"), 2),
+    "histogram-csv-not-utf8": (lambda t: with_replaced(t / "input.csv", release_argv(t), "o1", "\u00f61"), 3),
+    "taxi-csv-not-utf8": (lambda t: with_replaced(t / "trips.csv", taxi_config_argv(t), "d1", "d\u00e9"), 3),
+    "bike-trips-csv-not-utf8": (lambda t: with_replaced(t / "trips.csv", bike_ingest_argv(t), "r1", "r\u00e91"), 3),
+    "histogram-csv-long-field": (lambda t: with_replaced(t / "input.csv", release_argv(t), "o1", LONG_FIELD), 3),
+    "taxi-csv-long-field": (lambda t: with_replaced(t / "trips.csv", taxi_config_argv(t), "d1", LONG_FIELD), 3),
+    "pipeline-privacy-misspelt": (lambda t: misspelt_pipeline_argv(t, "privacy", "privcy"), 2),
+    "privacy-n-capitalised": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "N": 5}), 2),
+    "pipeline-bootstrap-misspelt": (lambda t: misspelt_pipeline_argv(t, "bootstrap", "boostrap"), 2),
+    "taxi-tip-threshold-misspelt": (lambda t: taxi_config_argv(t, tip_treshold=0.3), 2),
+    "bike-helmet-values-misspelt": (lambda t: bike_ingest_argv(t, helmets=["yes", "no"]), 2),
 }
 
 
@@ -442,6 +469,35 @@ def test_malformed_input_exits_with_typed_error(tmp_path, case):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("config error:" if code == 2 else "data error:")
     assert not out.exists()  # rejected before any output is written
+
+
+def measure_argv(tmp_path):
+    write_small_input(tmp_path)
+    inputs = [str(tmp_path / "input.csv")] * 2
+    return ["measure", *inputs, "--schema", str(tmp_path / "schema.json"), "--replicates", "2"]
+
+
+# A valid run of each subcommand, without its --out.
+SUBCOMMANDS = {
+    "ingest": taxi_config_argv,
+    "synth": lambda t: synth_command_argv(t, {"generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100}),
+    "repair": lambda t: repair_argv(t, {"x": "gender", "y": "rating", "z": ["origin"]}),
+    "privatize": lambda t: privatize_argv(t, {"epsilon": 5.0, "rho": 0.9}),
+    "release": release_argv,
+    "measure": measure_argv,
+    "sweep": lambda t: ["sweep", *release_argv(t)[1:], "--epsilons", "1", "--rhos", "0.5", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, command):
+    argv = SUBCOMMANDS[command](tmp_path)
+    (tmp_path / "a_file").write_text("")
+    out = tmp_path / "a_file" / "out"
+    proc = run_cli([*argv, "--out", str(out)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def synth_command_argv(tmp_path, config):
