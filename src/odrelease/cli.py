@@ -198,11 +198,11 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
         raise ConfigError(f"ingest kind must be taxi or bike, got {kind!r}")
     trips_path = file_path(obj.get("trips_csv"), f"{kind}.trips_csv", base_dir)
     if kind == "taxi":
-        config = TaxiConfig.from_json_obj(obj)
-        with open(trips_path, newline="", encoding="utf8") as f:
-            return taxi_preprocess(csv.DictReader(f), config)
+        return taxi_preprocess(trips_path, TaxiConfig.from_json_obj(obj))
     riders_path = file_path(obj.get("riders_csv"), "bike.riders_csv", base_dir)
-    if "neighborhoods_file" in obj and "neighborhoods" not in obj:
+    if "neighborhoods_file" in obj:
+        if "neighborhoods" in obj:
+            raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
         listed = Path(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)).read_text("utf8")
         obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
     config = BikeConfig.from_json_obj(obj)

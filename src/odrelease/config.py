@@ -1,9 +1,11 @@
 """The one set of typed readers for JSON config values: each returns a value in
 the type the program uses, or raises a ConfigError naming the dotted field.  A
-missing field reads as None.  A JSON boolean is never read as a number."""
+missing field reads as None.  A JSON boolean is never read as a number.
+cpus_available is the one reading of the machine a run works on."""
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -65,3 +67,8 @@ def mapping(value, what: str, keys=None) -> Mapping:
     if unknown:
         raise ConfigError(f"{what}: unknown keys {unknown}; expected only {list(keys)}")
     return value
+
+
+def cpus_available() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -106,8 +106,15 @@ class AttributeSchema:
 
     def encode(self, keys: Iterable[Sequence[str]]) -> np.ndarray:
         """Row-major codes of bucket keys; a key outside the schema is a SchemaError."""
-        indexes = self._label_indexes
-        positions = [[labels[label] for label, labels in zip(self.validate_key(key), indexes)] for key in keys]
+        keys, indexes = list(keys), self._label_indexes
+        try:  # one dict lookup per label; validate_key names the first fault
+            positions = [[labels[label] for label, labels in zip(key, indexes)] for key in keys]
+            valid = not set(map(len, keys)) - {len(indexes)}
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            for key in keys:
+                self.validate_key(key)
         return np.array(positions, dtype=np.int64).reshape(-1, len(self.names)) @ self.strides
 
     def label_positions(self, codes) -> np.ndarray:

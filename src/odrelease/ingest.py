@@ -9,16 +9,20 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import functools
+import io
 import itertools
 import math
 import operator
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import finite, labels, mapping, numbers, text_map
+from .config import cpus_available, finite, labels, mapping, numbers, text_map
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, BucketKey, Histogram
 from .rng import substream
@@ -295,20 +299,39 @@ def _tenths_of(values: np.ndarray) -> np.ndarray:
     return np.where(values < 0, -tenths, tenths).astype(np.int64)
 
 
-def taxi_preprocess(records: Iterable[Mapping[str, str]], config: TaxiConfig) -> IngestResult:
-    """Bucketize taxi trips into the 8-attribute histogram of the experiments.
+def _taxi_schema(config: TaxiConfig) -> AttributeSchema:
+    lon_min, lon_max, lat_min, lat_max = config.bbox
+    return AttributeSchema(
+        (
+            ("o_lon", _tenths_range(lon_min, lon_max)),
+            ("o_lat", _tenths_range(lat_min, lat_max)),
+            ("d_lon", _tenths_range(lon_min, lon_max)),
+            ("d_lat", _tenths_range(lat_min, lat_max)),
+            ("pickup", TIME_BUCKETS),
+            ("dist", TERTILE_LABELS),
+            ("tip", TIP_LABELS),
+            ("freq", TERTILE_LABELS),
+        )
+    )
 
-    Keeps card-paid trips inside the bounding box, rounds coordinates to one
-    decimal, tertiles trip distance by trip count (ties to the lower
-    category), marks tips high when tip >= tip_threshold * fare, tertiles
-    drivers by trip count, and buckets pickup time of day.  A row missing a
-    field, paid otherwise than by card, malformed (a time or number that
-    does not parse, a number that is not finite, fare <= 0, distance or tip
-    < 0) or outside the box is counted, in that order of checks, and dropped.
 
-    Rows are checked a block at a time in numpy.  A csv.DictReader's rows
-    are read by header index; any other iterable is read through rec.get.
-    """
+class _TaxiScan(NamedTuple):
+    """What one run of the block scanner keeps of its rows: the counts, and per
+    retained row its bucket code without dist and freq, its distance and the
+    position of its driver in `drivers`."""
+
+    rows: int
+    dropped_missing: int
+    dropped_filtered: int
+    malformed: int
+    codes: np.ndarray  # int64
+    distance: np.ndarray  # float64
+    driver: np.ndarray  # int32
+    drivers: list[str]
+
+
+def _scan_taxi(records: Iterable[Mapping[str, str]], config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
+    """Check, count and code the taxi rows of records a block at a time."""
     cols = config.columns
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
@@ -317,11 +340,13 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]], config: TaxiConfig) ->
         blocks = _dict_reader_blocks(records, names)
     else:
         blocks = _mapping_blocks(records, names)
+    strides = schema.strides.tolist()
+    origins = [_tenths(lon_min), _tenths(lat_min), _tenths(lon_min), _tenths(lat_min)]
 
     rows = malformed = dropped_missing = dropped_filtered = 0
     drivers: dict[str, int] = {}
     dates: dict[int, bool] = {}
-    kept = []  # per block: the retained rows' pickup bucket, tip category, coordinates and distance, driver id
+    kept = []  # per block: the retained rows' codes without dist and freq, distances, driver positions
     for block in blocks:
         column = dict(zip(roles, block))
         n = len(block[0])
@@ -339,52 +364,177 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]], config: TaxiConfig) ->
         retained_drivers = itertools.compress(itertools.compress(column["driver_id"], alive), in_box.tolist())
         ids = [drivers.setdefault(driver, len(drivers)) for driver in retained_drivers]
         tip_high = tip >= config.tip_threshold * fare  # TIP_LABELS: low, high
-        kept.append((pickup[in_box], tip_high[in_box], numbers[:5, in_box], np.array(ids, dtype=np.int64)))
+        codes = pickup[in_box] * strides[4] + tip_high[in_box] * strides[6]
+        for values, origin, stride in zip(numbers[:4, in_box], origins, strides):
+            codes += (_tenths_of(values) - origin) * stride
+        kept.append((codes, distance[in_box], np.array(ids, dtype=np.int32)))
         n_present, n_ok = int(np.count_nonzero(present)), int(np.count_nonzero(ok))
         rows += n
         dropped_missing += n - n_present
         dropped_filtered += n_present - len(pickup) + n_ok - len(ids)  # not paid by card, outside the box
         malformed += len(pickup) - n_ok
 
+    codes, distance, driver = [np.concatenate(parts) for parts in zip(*kept)] or [
+        np.zeros(0, dtype=dtype) for dtype in (np.int64, np.float64, np.int32)
+    ]
+    return _TaxiScan(rows, dropped_missing, dropped_filtered, malformed, codes, distance, driver, list(drivers))
+
+
+def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestResult:
+    """The histogram of the scans' retained rows, once their drivers and
+    distances are put together, and their summed counts."""
+    rows, dropped_missing, dropped_filtered, malformed = (sum(counts) for counts in zip(*(s[:4] for s in scans)))
     if rows and malformed > 0.5 * rows:
         raise DataError(f"{malformed} of {rows} rows malformed; refusing to continue")
+    drivers: dict[str, int] = {}
+    driver = np.concatenate(
+        [np.array([drivers.setdefault(d, len(drivers)) for d in scan.drivers], dtype=np.int64)[scan.driver]
+         for scan in scans]
+    )
     if not drivers:
         raise EmptyInputError("no taxi trips survived preprocessing")
 
-    pickup, tip_high, numbers, driver = [np.concatenate(parts, axis=-1) for parts in zip(*kept)]
-    del kept  # the per-block arrays, before the codes take memory
-    o_lon, o_lat, d_lon, d_lat, distance = numbers
+    distance = np.concatenate([scan.distance for scan in scans])
     ordered = np.sort(distance)
     t1, t2 = ordered[math.ceil(len(ordered) / 3) - 1], ordered[math.ceil(2 * len(ordered) / 3) - 1]
+    del ordered
     freq = tertiles(dict(zip(drivers, np.bincount(driver).tolist())))
-
-    schema = AttributeSchema(
-        (
-            ("o_lon", _tenths_range(lon_min, lon_max)),
-            ("o_lat", _tenths_range(lat_min, lat_max)),
-            ("d_lon", _tenths_range(lon_min, lon_max)),
-            ("d_lat", _tenths_range(lat_min, lat_max)),
-            ("pickup", TIME_BUCKETS),
-            ("dist", TERTILE_LABELS),
-            ("tip", TIP_LABELS),
-            ("freq", TERTILE_LABELS),
-        )
-    )
-    positions = (
-        _tenths_of(o_lon) - _tenths(lon_min),
-        _tenths_of(o_lat) - _tenths(lat_min),
-        _tenths_of(d_lon) - _tenths(lon_min),
-        _tenths_of(d_lat) - _tenths(lat_min),
-        pickup,
-        (distance > t1).astype(np.int64) + (distance > t2),  # low, medium, high
-        tip_high,
-        np.array([TERTILE_LABELS.index(freq[d]) for d in drivers])[driver],
-    )
-    codes = np.zeros(len(driver), dtype=np.int64)
-    for size, position in zip(schema.shape, positions):
-        codes = codes * size + position
-    stats = IngestStats(rows, len(driver), dropped_missing, dropped_filtered, malformed)
+    frequency = np.array([TERTILE_LABELS.index(freq[d]) for d in drivers], dtype=np.int64)
+    dist = (distance > t1).astype(np.int64) + (distance > t2)  # low, medium, high
+    codes = np.concatenate([scan.codes for scan in scans])
+    codes += dist * schema.strides[5] + frequency[driver] * schema.strides[7]
+    stats = IngestStats(rows, len(codes), dropped_missing, dropped_filtered, malformed)
     return IngestResult(Histogram.from_codes(schema, *np.unique(codes, return_counts=True)), stats)
+
+
+# Reading a taxi CSV from its path.  A file of at least _SPLIT_MIN_BYTES with
+# no '"' byte is cut into up to _MAX_RANGES byte ranges, one per CPU available,
+# each ending just after a newline.  With no quote character every line is a
+# whole row, so each range parses alone.  This process reads the first range,
+# header included, and a forked worker each of the others.  A process with
+# other threads reads one range, because a fork copies no thread but its caller.
+_SPLIT_MIN_BYTES = 8 << 20
+_MAX_RANGES = 4
+_CHUNK_BYTES = 1 << 20
+
+
+def _range_starts(path) -> list[int]:
+    """The byte offset at which each range of the file at path starts."""
+    size = os.path.getsize(path)
+    ranges = min(cpus_available(), _MAX_RANGES)
+    if size < _SPLIT_MIN_BYTES or ranges == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0]
+    starts = [0]
+    with open(path, "rb") as f:
+        if any(b'"' in chunk for chunk in iter(functools.partial(f.read, _CHUNK_BYTES), b"")):
+            return [0]
+        for i in range(1, ranges):
+            f.seek(max(size * i // ranges, starts[-1]))
+            f.readline()  # to just after the next newline
+            if f.tell() >= size:
+                break
+            starts.append(f.tell())
+    return starts
+
+
+def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
+    """Bytes [start, stop) of the file at path, or from start to its end, in
+    chunks of about _CHUNK_BYTES, each but the last ending just after a newline."""
+    with open(path, "rb") as f:
+        if start:
+            f.seek(start)
+        rest = b""
+        while block := f.read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - f.tell())):
+            chunk = rest + block
+            cut = chunk.rfind(b"\n") + 1
+            rest = chunk[cut:]
+            yield chunk[:cut]
+        yield rest
+
+
+def _range_lines(path, start: int, stop: int | None) -> Iterator[str]:
+    """The lines of a range of the file at path, split as in a file opened
+    with newline="", from its chunks decoded as UTF-8 one at a time."""
+    chunks = _range_chunks(path, start, stop)
+    return itertools.chain.from_iterable(io.StringIO(chunk.decode("utf8"), newline="") for chunk in chunks)
+
+
+def _scan_range(send, path, start: int, stop: int | None, header, config: TaxiConfig, schema: AttributeSchema) -> None:
+    """In a forked worker: send the scan of one range, or the error that stopped it."""
+    try:
+        result = _scan_taxi(csv.DictReader(_range_lines(path, start, stop), fieldnames=header), config, schema)
+    except BaseException as exc:  # sent back to be raised in the reading process
+        result = exc
+    send.send(result)
+    send.close()
+
+
+def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_TaxiScan]:
+    """The scan of each range of the taxi CSV at path, first to last.
+
+    If more than one range fails, the first range's error is raised, as a
+    read of the whole file from the start would raise it.  Every worker has
+    ended by the time this returns or raises.
+    """
+    starts = _range_starts(path)
+    reader = csv.DictReader(_range_lines(path, 0, starts[1] if len(starts) > 1 else None))
+    if len(starts) == 1:
+        return [_scan_taxi(reader, config, schema)]
+    import multiprocessing  # only here: about 10 ms to import
+
+    context = multiprocessing.get_context("fork")
+    header = reader.fieldnames  # the first row, read before the workers fork
+    workers = []
+    try:
+        for start, stop in zip(starts[1:], [*starts[2:], None]):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_scan_range, args=(send, path, start, stop, header, config, schema))
+            worker.start()
+            send.close()
+            workers.append((worker, receive, start))
+        scans = [_scan_taxi(reader, config, schema)]
+        for worker, receive, start in workers:
+            try:
+                result = receive.recv()
+            except EOFError:  # the worker died before it could send
+                worker.join()
+                raise ChildProcessError(
+                    f"the worker reading {path} from byte {start} exited with code {worker.exitcode}"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            scans.append(result)
+        return scans
+    finally:
+        for worker, receive, _ in workers:
+            receive.close()
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+
+
+def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, config: TaxiConfig) -> IngestResult:
+    """Bucketize taxi trips into the 8-attribute histogram of the experiments.
+
+    Keeps card-paid trips inside the bounding box, rounds coordinates to one
+    decimal, tertiles trip distance by trip count (ties to the lower
+    category), marks tips high when tip >= tip_threshold * fare, tertiles
+    drivers by trip count, and buckets pickup time of day.  A row missing a
+    field, paid otherwise than by card, malformed (a time or number that
+    does not parse, a number that is not finite, fare <= 0, distance or tip
+    < 0) or outside the box is counted, in that order of checks, and dropped.
+
+    records is the path of a UTF-8 trips CSV, a csv.DictReader or any other
+    iterable of mappings.  Rows are checked a block at a time in numpy.  A
+    csv.DictReader's rows are read by header index; any other iterable is
+    read through rec.get.  A CSV of 8 MiB or more with no '"' byte is read
+    in byte ranges at once, one per CPU available up to four, with the same
+    result.
+    """
+    schema = _taxi_schema(config)
+    if isinstance(records, (str, os.PathLike)):
+        return _taxi_result(_scan_taxi_csv(records, config, schema), schema)
+    return _taxi_result([_scan_taxi(records, config, schema)], schema)
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,7 @@ MALFORMED_INPUTS = {
     "pipeline-bootstrap-misspelt": (lambda t: misspelt_pipeline_argv(t, "bootstrap", "boostrap"), 2),
     "taxi-tip-threshold-misspelt": (lambda t: taxi_config_argv(t, tip_treshold=0.3), 2),
     "bike-helmet-values-misspelt": (lambda t: bike_ingest_argv(t, helmets=["yes", "no"]), 2),
+    "bike-neighborhoods-and-a-missing-file": (lambda t: bike_ingest_argv(t, neighborhoods_file="missing.txt"), 2),
 }
 
 

@@ -60,6 +60,21 @@ class TestSchema:
         with pytest.raises(SchemaError):
             two_attr_schema().index_of(("a",))
 
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ([("a", "0"), ("d", "1"), ("a",)], "label 'd' not in domain of attribute 'first'"),
+            ([("a", "0"), ("a",), ("d", "1")], r"key \('a',\) has 1 values, schema has 2 attributes"),
+            ([("b", "1"), ("a", "0", "x")], r"key \('a', '0', 'x'\) has 3 values"),
+            ([("b", "2")], "label '2' not in domain of attribute 'second'"),
+        ],
+    )
+    def test_encode_names_the_first_key_outside_the_schema(self, keys, message):
+        with pytest.raises(SchemaError, match=message):
+            two_attr_schema().encode(keys)
+        with pytest.raises(SchemaError, match=message):
+            two_attr_schema().encode(iter(keys))
+
     @pytest.mark.parametrize("domain", ["mf", ["m", 1], 5, None, {"m": "f"}])
     def test_schema_file_domain_must_be_a_list_of_strings(self, domain):
         with pytest.raises(SchemaError, match="list of strings"):

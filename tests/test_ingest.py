@@ -1,5 +1,10 @@
+import csv
 import datetime
 import math
+import multiprocessing
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from odrelease import (
     tertiles,
     time_bucket,
 )
+from odrelease import cli, ingest
 from odrelease.ingest import BikeConfig, round_coordinate
 
 
@@ -216,6 +222,123 @@ class TestTaxiPreprocess:
         by_column = TaxiConfig.from_json_obj({"columns": {"plon": "pickup_lon", "plat": "pickup_lat"}})
         assert by_column.columns["pickup_lon"] == "plon"
         assert by_column.columns["pickup_lat"] == "plat"
+
+
+def trips_csv(path, blocks, rows=60):
+    """A taxi trips CSV: the header, then per block `rows` valid trips followed
+    by the block's extra line, if any (bytes, a newline added).  Returns the
+    byte offset of each extra line."""
+    header = ",".join(taxi_row()).encode() + b"\n"
+    data, offsets = bytearray(header), []
+    for b, extra in enumerate(blocks):
+        for i in range(rows):
+            trip = taxi_row(distance=1.0 + i % 9, tip=i % 3, driver=f"d{(b * rows + i) % 17}")
+            data += ",".join(trip.values()).encode() + b"\n"
+        if extra is not None:
+            offsets.append(len(data))
+            data += extra + b"\n"
+    Path(path).write_bytes(bytes(data))
+    return offsets
+
+
+def read_in(monkeypatch, ranges):
+    """Read paths in up to `ranges` ranges, whatever their size."""
+    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(ingest, "cpus_available", lambda: ranges)
+
+
+def range_of(path, offset):
+    """The 1-based range of the file at path that holds the byte at offset."""
+    return sum(start <= offset for start in ingest._range_starts(path))
+
+
+FAULTS = {  # a bad line, and the error a read of it raises
+    "not-utf8": (b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,d\xff", UnicodeDecodeError),
+    "long-field": (b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD," + b"d" * 200, csv.Error),
+}
+
+
+class TestTaxiCsvRanges:
+    def test_a_csv_path_reads_like_its_dict_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "trips.csv"
+        trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])
+        read_in(monkeypatch, 3)
+        assert len(ingest._range_starts(path)) == 3
+        with open(path, newline="", encoding="utf8") as f:
+            want = taxi_preprocess(csv.DictReader(f), TaxiConfig())
+        for records in (path, str(path)):
+            got = taxi_preprocess(records, TaxiConfig())
+            assert (got.stats, got.histogram) == (want.stats, want.histogram)
+        assert multiprocessing.active_children() == []
+
+    def test_a_file_is_split_only_when_large_quote_free_and_on_several_cpus(self, tmp_path, monkeypatch):
+        path = tmp_path / "trips.csv"
+        trips_csv(path, [None, None])
+        monkeypatch.setattr(ingest, "cpus_available", lambda: 2)
+        assert ingest._range_starts(path) == [0]  # under _SPLIT_MIN_BYTES
+        read_in(monkeypatch, 2)
+        assert len(ingest._range_starts(path)) == 2
+        monkeypatch.setattr(ingest, "cpus_available", lambda: 1)
+        assert ingest._range_starts(path) == [0]
+        monkeypatch.setattr(ingest, "cpus_available", lambda: 64)
+        assert len(ingest._range_starts(path)) == ingest._MAX_RANGES
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert ingest._range_starts(path) == [0]  # no fork while another thread runs
+        finally:
+            done.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
+        assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
+
+    @pytest.mark.parametrize("fault", [b"\xff", b"\x00"])
+    def test_a_fault_in_the_last_range_ends_as_a_read_of_one_range_does(self, tmp_path, monkeypatch, capfd, fault):
+        trips = tmp_path / "trips.csv"
+        (offset,) = trips_csv(trips, [None, b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,d" + fault])
+        config = tmp_path / "ingest.json"
+        config.write_text('{"kind": "taxi", "trips_csv": "trips.csv"}')
+        ended = []
+        for ranges in (2, 1):
+            read_in(monkeypatch, ranges)
+            assert range_of(trips, offset) == ranges
+            code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / f"out{ranges}")])
+            err = capfd.readouterr().err
+            assert "Traceback" not in err
+            outputs = sorted((p.name, p.read_bytes()) for p in (tmp_path / f"out{ranges}").glob("*"))
+            ended.append((code, err.split(":")[0], outputs))
+            assert multiprocessing.active_children() == []
+        assert ended[0] == ended[1]
+        if fault == b"\xff":
+            assert ended[0][:2] == (3, "data error")
+
+    @pytest.mark.parametrize("ranges,failing", [(2, (1, 2)), (3, (2, 3))])
+    @pytest.mark.parametrize("first,second", [("not-utf8", "long-field"), ("long-field", "not-utf8")])
+    def test_the_first_failing_range_gives_the_error(self, tmp_path, monkeypatch, ranges, failing, first, second):
+        path = tmp_path / "trips.csv"
+        extras = [None] * ranges
+        extras[failing[0] - 1], extras[failing[1] - 1] = FAULTS[first][0], FAULTS[second][0]
+        offsets = trips_csv(path, extras)
+        read_in(monkeypatch, ranges)
+        assert [range_of(path, offset) for offset in offsets] == list(failing)
+        limit = csv.field_size_limit(100)  # the long field's 200 characters are over it
+        try:
+            with pytest.raises(FAULTS[first][1]):
+                taxi_preprocess(path, TaxiConfig())
+        finally:
+            csv.field_size_limit(limit)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_os_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "trips.csv"
+        trips_csv(path, [None, None])
+        read_in(monkeypatch, 2)
+        monkeypatch.setattr(ingest, "_scan_range", lambda *args: os._exit(7))
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            taxi_preprocess(path, TaxiConfig())
+        assert multiprocessing.active_children() == []
 
 
 def bike_config():

@@ -195,7 +195,7 @@ class TestBootstrap:
     def test_distances_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
         h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})  # tied counts
         wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: 1)
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 1)
         serial = bootstrap_distances(h, wanted, 5, seed=8)
         threads = set()
         kernel = metrics._pwkt_from_vectors
@@ -205,7 +205,7 @@ class TestBootstrap:
             return kernel(*args)
 
         monkeypatch.setattr(metrics, "_pwkt_from_vectors", recorded)
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: workers)
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
@@ -217,15 +217,38 @@ class TestBootstrap:
             assert serial[name].tobytes() == split[name].tobytes()
 
     def test_worker_count_is_bounded_by_cpus_cap_and_replicates(self, monkeypatch):
-        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200) == metrics._MAX_WORKERS
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 2) == 2
-        assert metrics._bootstrap_workers({"d": "pwkt", "f": lambda reference, replicate: 0.0}, 200) == 1
-        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200) == 1
+        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == metrics._MAX_WORKERS
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 2, 1000) == 2
+        assert metrics._bootstrap_workers({"d": "pwkt", "f": lambda reference, replicate: 0.0}, 200, 1000) == 1
+        monkeypatch.setattr(metrics, "cpus_available", lambda: 1)
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == 1
+
+    def test_a_small_histogram_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
+        small = metrics._MIN_THREAD_BUCKETS
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small - 1) == 1
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small) == metrics._MAX_WORKERS
+        h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})
+        wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
+        threads = set()
+        kernel = metrics._pwkt_from_vectors
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recorded)
+        serial = bootstrap_distances(h, wanted, 12, seed=8)
+        assert threads == {threading.get_ident()}
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 3)
+        split = bootstrap_distances(h, wanted, 12, seed=8)
+        for name in wanted:
+            assert serial[name].tobytes() == split[name].tobytes()
 
     def test_a_callable_metric_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
+        monkeypatch.setattr(metrics, "_MIN_THREAD_BUCKETS", 0)  # threads even for this small histogram
         h = hist("abcde", {"a": 13, "b": 9, "c": 4})
         threads = set()
 
@@ -246,7 +269,7 @@ class TestBootstrap:
             return opened(*args)
 
         monkeypatch.setattr(metrics, "substream", recorder)
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates: 3)
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 3)
         bootstrap_distances(h, {"pwkt": "pwkt", "hellinger": "hellinger"}, 12, seed=2)
         assert threads == [threading.get_ident()] * 12
 

@@ -371,17 +371,21 @@ def _ingest(preprocess, records):
         return type(exc), str(exc)
 
 
+def assert_same_result(got, want):
+    """An ingest result, or an error's type and message, equals the oracle's."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.stats == want.stats
+    assert got.histogram.schema == want.histogram.schema
+    assert np.array_equal(got.histogram.codes, want.histogram.codes)
+    assert np.array_equal(got.histogram.counts, want.histogram.counts)
+    assert got.histogram.counts.dtype == want.histogram.counts.dtype
+
+
 def assert_same_ingest(text):
     for records in (lambda: csv.DictReader(io.StringIO(text)), lambda: list(csv.DictReader(io.StringIO(text)))):
-        got, want = _ingest(taxi_preprocess, records()), _ingest(taxi_preprocess_per_row, records())
-        if isinstance(want, tuple):
-            assert got == want
-            continue
-        assert got.stats == want.stats
-        assert got.histogram.schema == want.histogram.schema
-        assert np.array_equal(got.histogram.codes, want.histogram.codes)
-        assert np.array_equal(got.histogram.counts, want.histogram.counts)
-        assert got.histogram.counts.dtype == want.histogram.counts.dtype
+        assert_same_result(_ingest(taxi_preprocess, records()), _ingest(taxi_preprocess_per_row, records()))
 
 
 def _edge_times_csv():
@@ -408,6 +412,19 @@ def _edge_times_csv():
 def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
     with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):  # small blocks split rows across blocks
         assert_same_ingest(text)
+
+
+@property_settings
+@given(taxi_csvs(), st.sampled_from([2, 3]), st.sampled_from([1, 2048]), st.sampled_from([1, 50, 1 << 20]))
+def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, block_rows, chunk_bytes):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(ingest, "cpus_available", lambda: ranges), \
+            mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+        path = Path(tmp) / "trips.csv"
+        path.write_text(text, encoding="utf8", newline="")
+        got = _ingest(taxi_preprocess, path)
+    assert_same_result(got, _ingest(taxi_preprocess_per_row, csv.DictReader(io.StringIO(text, newline=""))))
 
 
 def test_columnar_taxi_ingest_equals_the_per_row_oracle_across_blocks():
