@@ -210,20 +210,29 @@ class Histogram:
         return h
 
     def _store(self, schema: AttributeSchema, codes: np.ndarray, counts, integral: bool) -> None:
-        if integral and isinstance(counts, np.ndarray) and counts.dtype.kind == "f":
-            # out of int64 range the cast below would wrap, with a RuntimeWarning
-            if not np.all(np.isfinite(counts)):
+        if integral and (floats := np.asarray(counts)).dtype.kind == "f":
+            # out of int64 range the cast below would wrap, with a RuntimeWarning, and a fraction truncate
+            if not np.all(np.isfinite(floats)):
                 raise DataError("counts must be finite and nonnegative")
-            if np.any(np.abs(counts) >= _INT64_LIMIT):
+            if np.any(np.abs(floats) >= _INT64_LIMIT):
                 raise DataError("a count does not fit in a 64-bit integer")
+            if len(fractional := np.flatnonzero(floats != np.trunc(floats))):
+                raise DataError(f"non-integer count {floats[fractional[0]].item()!r} in integer mode")
         try:
             counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)
         except OverflowError:
             raise DataError("a count does not fit in a 64-bit integer") from None
+        if codes.shape != counts.shape:
+            raise DataError(f"bucket codes of shape {codes.shape} for counts of shape {counts.shape}")
+        if len(codes) and not 0 <= codes.min() <= codes.max() < schema.global_size:
+            raise SchemaError(f"a bucket code is outside [0, {schema.global_size})")
+        order = np.argsort(codes)
+        codes, counts = codes[order], counts[order]
+        if len(repeated := np.flatnonzero(codes[1:] == codes[:-1])):
+            raise DataError(f"bucket code {codes[repeated[0]].item()} is given more than once")
         nonzero = counts != 0
-        order = np.argsort(codes[nonzero])
         self.schema, self.integral = schema, integral
-        self.codes, self.counts = codes[nonzero][order], counts[nonzero][order]
+        self.codes, self.counts = codes[nonzero], counts[nonzero]
         if not np.all(np.isfinite(self.counts) & (self.counts > 0)):
             raise DataError("counts must be finite and nonnegative")
         values = self.counts.tolist()

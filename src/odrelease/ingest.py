@@ -17,7 +17,7 @@ import operator
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -69,13 +69,7 @@ class IngestStats:
     malformed: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "retained": self.retained,
-            "dropped_missing": self.dropped_missing,
-            "dropped_filtered": self.dropped_filtered,
-            "malformed": self.malformed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -208,30 +202,6 @@ _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # year, 
 _HOUR_BUCKETS = np.array([TIME_BUCKETS.index(time_bucket(_dt.time(h))) for h in range(24)])
 
 
-def _dict_reader_blocks(reader: csv.DictReader, names: Sequence[str]) -> Iterator[list[list[str]]]:
-    """Stripped values of the named columns, a block of rows at a time, read
-    from the DictReader's rows by header index with its semantics: the last
-    duplicate header wins, a short row gets restval, blank lines are skipped
-    and extra fields ignored.  A column the header lacks reads empty."""
-    index = {name: i for i, name in enumerate(reader.fieldnames or ())}
-    found = [name for name in names if name in index]
-    width = 1 + max((index[name] for name in found), default=-1)
-    while raw := list(itertools.islice(reader.reader, _BLOCK_ROWS)):
-        rows = [row for row in raw if row]
-        if min(map(len, rows), default=width) < width:
-            pad = [(reader.restval or "").strip()] * width
-            rows = [row if len(row) >= width else row + pad[len(row) :] for row in rows]
-        columns = {name: list(map(str.strip, map(operator.itemgetter(index[name]), rows))) for name in found}
-        yield [columns.get(name) or [""] * len(rows) for name in names]
-
-
-def _mapping_blocks(records: Iterable[Mapping[str, str]], names: Sequence[str]) -> Iterator[list[list[str]]]:
-    """Stripped values of the named fields of each record, a block of records at a time."""
-    records = iter(records)
-    while block := list(itertools.islice(records, _BLOCK_ROWS)):
-        yield [[(rec.get(name) or "").strip() for rec in block] for name in names]
-
-
 def _pickup_buckets(times: list[str], dates: dict[int, bool]) -> np.ndarray:
     """TIME_BUCKETS position of each pickup time, -1 where time_bucket rejects it.
 
@@ -330,16 +300,20 @@ class _TaxiScan(NamedTuple):
     drivers: list[str]
 
 
-def _scan_taxi(records: Iterable[Mapping[str, str]], config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
-    """Check, count and code the taxi rows of records a block at a time."""
+def _scan_taxi(
+    lines: Iterator[Sequence[str]], header: Sequence[str], config: TaxiConfig, schema: AttributeSchema
+) -> _TaxiScan:
+    """Check, count and code the taxi rows of lines, CSV rows under header, a
+    block at a time.  Each role's column is found by header index: the last
+    duplicate header wins, a short row reads empty past its end, blank rows
+    are skipped and extra fields ignored.  A column the header lacks reads empty."""
     cols = config.columns
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
     roles, names = list(cols), list(cols.values())
-    if type(records) is csv.DictReader and records.restkey not in names:
-        blocks = _dict_reader_blocks(records, names)
-    else:
-        blocks = _mapping_blocks(records, names)
+    index = {name: i for i, name in enumerate(header)}
+    found = [name for name in names if name in index]
+    width = 1 + max((index[name] for name in found), default=-1)
     strides = schema.strides.tolist()
     origins = [_tenths(lon_min), _tenths(lat_min), _tenths(lon_min), _tenths(lat_min)]
 
@@ -347,9 +321,15 @@ def _scan_taxi(records: Iterable[Mapping[str, str]], config: TaxiConfig, schema:
     drivers: dict[str, int] = {}
     dates: dict[int, bool] = {}
     kept = []  # per block: the retained rows' codes without dist and freq, distances, driver positions
-    for block in blocks:
+    while raw := list(itertools.islice(lines, _BLOCK_ROWS)):
+        block_rows = [row for row in raw if row]
+        if min(map(len, block_rows), default=width) < width:
+            pad = [""] * width
+            block_rows = [row if len(row) >= width else row + pad[len(row) :] for row in block_rows]
+        n = len(block_rows)
+        stripped = {name: list(map(str.strip, map(operator.itemgetter(index[name]), block_rows))) for name in found}
+        block = [stripped.get(name) or [""] * n for name in names]
         column = dict(zip(roles, block))
-        n = len(block[0])
         present = np.ones(n, dtype=bool)
         for values in block:
             present[_empty_positions(values)] = False
@@ -462,7 +442,7 @@ def _range_lines(path, start: int, stop: int | None) -> Iterator[str]:
 def _scan_range(send, path, start: int, stop: int | None, header, config: TaxiConfig, schema: AttributeSchema) -> None:
     """In a forked worker: send the scan of one range, or the error that stopped it."""
     try:
-        result = _scan_taxi(csv.DictReader(_range_lines(path, start, stop), fieldnames=header), config, schema)
+        result = _scan_taxi(csv.reader(_range_lines(path, start, stop)), header, config, schema)
     except BaseException as exc:  # sent back to be raised in the reading process
         result = exc
     send.send(result)
@@ -477,13 +457,13 @@ def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_T
     ended by the time this returns or raises.
     """
     starts = _range_starts(path)
-    reader = csv.DictReader(_range_lines(path, 0, starts[1] if len(starts) > 1 else None))
+    rows = csv.reader(_range_lines(path, 0, starts[1] if len(starts) > 1 else None))
+    header = next(rows, [])  # read before the workers fork
     if len(starts) == 1:
-        return [_scan_taxi(reader, config, schema)]
+        return [_scan_taxi(rows, header, config, schema)]
     import multiprocessing  # only here: about 10 ms to import
 
     context = multiprocessing.get_context("fork")
-    header = reader.fieldnames  # the first row, read before the workers fork
     workers = []
     try:
         for start, stop in zip(starts[1:], [*starts[2:], None]):
@@ -492,7 +472,7 @@ def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_T
             worker.start()
             send.close()
             workers.append((worker, receive, start))
-        scans = [_scan_taxi(reader, config, schema)]
+        scans = [_scan_taxi(rows, header, config, schema)]
         for worker, receive, start in workers:
             try:
                 result = receive.recv()
@@ -524,17 +504,19 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     does not parse, a number that is not finite, fare <= 0, distance or tip
     < 0) or outside the box is counted, in that order of checks, and dropped.
 
-    records is the path of a UTF-8 trips CSV, a csv.DictReader or any other
-    iterable of mappings.  Rows are checked a block at a time in numpy.  A
-    csv.DictReader's rows are read by header index; any other iterable is
-    read through rec.get.  A CSV of 8 MiB or more with no '"' byte is read
-    in byte ranges at once, one per CPU available up to four, with the same
-    result.
+    records is the path of a UTF-8 trips CSV or an iterable of mappings, a
+    csv.DictReader among them.  Rows are checked a block at a time in numpy.
+    A path is read in byte ranges: a CSV of 8 MiB or more with no '"' byte
+    in up to four at once, one per CPU available, with the same result, and
+    any other CSV in one.  Any other iterable is read through rec.get, one
+    record at a time, so passing the path is the fast way to read a file.
     """
     schema = _taxi_schema(config)
     if isinstance(records, (str, os.PathLike)):
         return _taxi_result(_scan_taxi_csv(records, config, schema), schema)
-    return _taxi_result([_scan_taxi(records, config, schema)], schema)
+    names = list(config.columns.values())
+    rows = ([rec.get(name) or "" for name in names] for rec in records)
+    return _taxi_result([_scan_taxi(rows, names, config, schema)], schema)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,31 @@ class TestHistogramConstruction:
             with pytest.raises(DataError, match=message):
                 Histogram.from_codes(two_attr_schema(), [0, 1], np.array([3.0, value]))
 
+    @pytest.mark.parametrize("counts", [[3, 1.5], np.array([3.0, 1.5])])
+    def test_from_codes_rejects_a_fraction_in_integer_mode(self, counts):
+        with pytest.raises(DataError, match="non-integer count 1.5"):
+            Histogram.from_codes(two_attr_schema(), [0, 1], counts)
+        assert Histogram.from_codes(two_attr_schema(), [0, 1], counts, integral=False).total == 4.5
+
+    @pytest.mark.parametrize("code", [6, -1, 2**40])
+    def test_from_codes_rejects_a_code_outside_the_schema(self, code):
+        with pytest.raises(SchemaError, match=r"outside \[0, 6\)"):
+            Histogram.from_codes(two_attr_schema(), [0, code], [1, 1])
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0]])
+    def test_from_codes_rejects_a_repeated_code(self, counts):
+        with pytest.raises(DataError, match="bucket code 4 is given more than once"):
+            Histogram.from_codes(two_attr_schema(), [4, 0, 4], [5, *counts])
+
+    @pytest.mark.parametrize("codes,counts", [([0], [1, 2]), ([0, 1], [1]), ([[0, 1]], [1, 2])])
+    def test_from_codes_rejects_codes_and_counts_that_do_not_pair(self, codes, counts):
+        with pytest.raises(DataError, match="shape"):
+            Histogram.from_codes(two_attr_schema(), codes, counts)
+
+    def test_from_codes_takes_codes_in_any_order(self):
+        h = Histogram.from_codes(two_attr_schema(), [5, 0, 2], np.array([1.0, 3.0, 0.0]))
+        assert h == Histogram(two_attr_schema(), {("c", "1"): 1, ("a", "0"): 3})
+
     def test_subset_is_one_schema_per_attribute_tuple(self):
         schema = two_attr_schema()
         sub = schema.subset(["second", "first"])

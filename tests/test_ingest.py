@@ -1,5 +1,6 @@
 import csv
 import datetime
+import io
 import math
 import multiprocessing
 import os
@@ -215,6 +216,19 @@ class TestTaxiPreprocess:
         result = taxi_preprocess(rows, TaxiConfig())
         freq = marginalize(result.histogram, ["freq"]).counts
         assert freq == {("low",): 1, ("medium",): 2, ("high",): 3}
+
+    @pytest.mark.parametrize("restkey", [None, "payment_type"])
+    def test_a_dict_reader_reads_like_a_list_of_its_records(self, restkey):
+        trips = [list(taxi_row(distance=1.0 + i, driver=f"d{i}").values()) for i in range(6)]
+        lines = [",".join(taxi_row()), *(",".join(trip[:cut]) for trip, cut in zip(trips, [10, 10, 9, 8, 10, 5]))]
+        text = "\n".join(lines) + "\n"
+
+        def reader():
+            return csv.DictReader(io.StringIO(text, newline=""), restval="CRD", restkey=restkey)
+
+        got, want = taxi_preprocess(reader(), TaxiConfig()), taxi_preprocess(list(reader()), TaxiConfig())
+        assert (got.stats, got.histogram) == (want.stats, want.histogram)
+        assert (got.stats.retained, got.stats.malformed) == (5, 1)  # restval pays the rows cut at 9 and 8 by card
 
     def test_column_mapping_accepts_both_orientations(self):
         by_role = TaxiConfig.from_json_obj({"columns": {"pickup_lon": "plon"}})

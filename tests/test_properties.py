@@ -415,7 +415,7 @@ def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
 
 
 @property_settings
-@given(taxi_csvs(), st.sampled_from([2, 3]), st.sampled_from([1, 2048]), st.sampled_from([1, 50, 1 << 20]))
+@given(taxi_csvs(), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2048]), st.sampled_from([1, 50, 1 << 20]))
 def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, block_rows, chunk_bytes):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
             mock.patch.object(ingest, "cpus_available", lambda: ranges), \
