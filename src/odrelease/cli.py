@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 empty release
 (the warning-as-status default; set "empty_release_ok": true to get 0).
 An input that cannot be read, an --out that cannot be created, or a config
 or schema file that is not UTF-8 JSON exits 2.  A CSV or neighbourhood file
-that is not UTF-8, or has a field over the csv module's limit, exits 3.
-main is the one place that maps exceptions to these codes.
+that is not UTF-8, holds a NUL byte or has a field over the csv module's
+limit exits 3.  main is the one place that maps exceptions to these codes.
+A command makes --out only once it has computed every output, so a config or
+data error leaves no output directory.
 Every run is reproducible bit for bit given its config and seed: all
 randomized stages draw from labelled substreams of one master seed.
 """
@@ -35,6 +37,7 @@ from .ingest import (
     synth_generate,
     synthetic_od_seed,
     taxi_preprocess,
+    text_lines,
 )
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, hellinger, pwkt
 from .privacy import PrivacyParams, ReleaseResult, privatize
@@ -68,8 +71,27 @@ def _load_json(path):
         raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 
-def _write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf8")
+def _write_outputs(out_dir, files: Mapping[str, object]) -> None:
+    """Make out_dir and write into it each value of files, a mapping from file name to value.
+
+    A Histogram is written as a histogram CSV, an AttributeSchema as its
+    JSON, a list of rows (header first) as a CSV, and any other value as
+    JSON.  Every command calls this once, after computing all its outputs,
+    so a run that stops on an error before then leaves no output directory.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, value in files.items():
+        path = out / name
+        if isinstance(value, Histogram):
+            write_histogram_csv(value, path)
+        elif isinstance(value, AttributeSchema):
+            value.save(path)
+        elif isinstance(value, list):
+            with open(path, "w", newline="", encoding="utf8") as f:
+                csv.writer(f).writerows(value)
+        else:
+            path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf8")
 
 
 def _parse_privacy(obj, keys=PRIVACY_KEYS) -> dict:
@@ -203,14 +225,13 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
     if "neighborhoods_file" in obj:
         if "neighborhoods" in obj:
             raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
-        listed = Path(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)).read_text("utf8")
+        listed = "".join(text_lines(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
         obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
     config = BikeConfig.from_json_obj(obj)
-    with open(trips_path, newline="", encoding="utf8") as tf, open(
-        riders_path, newline="", encoding="utf8"
-    ) as rf, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
-        result = bike_preprocess(csv.DictReader(tf), csv.DictReader(rf), config)
+        trips, riders = (csv.DictReader(text_lines(path)) for path in (trips_path, riders_path))
+        result = bike_preprocess(trips, riders, config)
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return result
@@ -295,35 +316,24 @@ def run_release(cfg: PipelineConfig, out_dir, seed: int | None = None) -> int:
     seed = cfg.seed if seed is None else seed
     original = _load_pipeline_input(cfg)
     outcome = _run_stages(original, cfg, seed)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    original.schema.save(out / "schema.json")
-    write_histogram_csv(outcome.final, out / "released.csv")
+    files = {"schema.json": original.schema, "released.csv": outcome.final}
     if outcome.repair_result is not None:
-        _write_json(_repair_report(outcome.repair_result, original.total), out / "repair_report.json")
+        files["repair_report.json"] = _repair_report(outcome.repair_result, original.total)
     if outcome.release_result is not None:
-        report = _release_report(outcome.release_result, outcome.privacy_params)
-        _write_json(report, out / "release_report.json")
+        files["release_report.json"] = _release_report(outcome.release_result, outcome.privacy_params)
 
-    if len(outcome.final) == 0:  # the only case in which a stage leaves a warning
-        _write_json(_empty_distance_report(cfg.replicates, seed), out / "distance_report.json")
-        for msg in outcome.warnings:
-            print(f"warning: {msg}", file=sys.stderr)
-        return 0 if cfg.empty_release_ok else 4
-
-    baseline = None
-    if cfg.repair_spec is not None:
-        baseline = random_x_baseline(original, cfg.repair_spec, derive_seed(seed, "baseline"))
-    report = build_distance_report(
-        original,
-        outcome.final,
-        replicates=cfg.replicates,
-        seed=derive_seed(seed, "bootstrap"),
-        baseline=baseline,
-    )
-    _write_json(report.to_json_obj(), out / "distance_report.json")
-    return 0
+    if len(outcome.final) == 0:
+        files["distance_report.json"] = _empty_distance_report(cfg.replicates, seed)
+    else:
+        baseline = (random_x_baseline(original, cfg.repair_spec, derive_seed(seed, "baseline"))
+                    if cfg.repair_spec is not None else None)
+        report = build_distance_report(original, outcome.final, replicates=cfg.replicates,
+                                       seed=derive_seed(seed, "bootstrap"), baseline=baseline)
+        files["distance_report.json"] = report.to_json_obj()
+    _write_outputs(out_dir, files)
+    for msg in outcome.warnings:  # a stage leaves a warning only when it empties the release
+        print(f"warning: {msg}", file=sys.stderr)
+    return 0 if len(outcome.final) or cfg.empty_release_ok else 4
 
 
 def run_measure(
@@ -342,15 +352,12 @@ def run_measure(
     distances = bootstrap_distances(reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed)
     report = distance_report(reference, other, distances, seed)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(report.to_json_obj(), out / "distance_report.json")
+        files = {"distance_report.json": report.to_json_obj()}
         if write_replicates:
-            with open(out / "replicate_distances.csv", "w", newline="", encoding="utf8") as f:
-                writer = csv.writer(f)
-                writer.writerow(["replicate", "pwkt", "hellinger"])
-                for i in range(replicates):
-                    writer.writerow([i, f"{distances['pwkt'][i]:.9f}", f"{distances['hellinger'][i]:.9f}"])
+            pairs = zip(distances["pwkt"], distances["hellinger"])
+            files["replicate_distances.csv"] = [["replicate", "pwkt", "hellinger"],
+                                                *([i, f"{p:.9f}", f"{h:.9f}"] for i, (p, h) in enumerate(pairs))]
+        _write_outputs(out_dir, files)
     return report
 
 
@@ -393,26 +400,20 @@ def run_sweep(
 
     if out_path is not None:
         out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="", encoding="utf8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epsilon", "rho", "trial", "pwkt", "hellinger", "bins_released"])
-            for row in rows:  # a NaN distance formats as "nan"
-                writer.writerow([row["epsilon"], row["rho"], row["trial"], f"{row['pwkt']:.9f}",
-                                 f"{row['hellinger']:.9f}", row["bins_released"]])
+        header = ["epsilon", "rho", "trial", "pwkt", "hellinger", "bins_released"]
+        table = [[row["epsilon"], row["rho"], row["trial"], f"{row['pwkt']:.9f}", f"{row['hellinger']:.9f}",
+                  row["bins_released"]] for row in rows]  # a NaN distance formats as "nan"
+        _write_outputs(out_path.parent, {out_path.name: [header, *table]})
     return rows
 
 
 def _cmd_ingest(args) -> int:
     result = _run_ingest(_load_json(args.config), base_dir=Path(args.config).parent)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.histogram.schema.save(out / "schema.json")
-    write_histogram_csv(result.histogram, out / "histogram.csv")
-    _write_json(
-        {"stats": result.stats.to_json_obj(), "warnings": list(result.warnings)},
-        out / "ingest_report.json",
-    )
+    _write_outputs(args.out, {
+        "schema.json": result.histogram.schema,
+        "histogram.csv": result.histogram,
+        "ingest_report.json": {"stats": result.stats.to_json_obj(), "warnings": list(result.warnings)},
+    })
     return 0
 
 
@@ -421,10 +422,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     h = synth_generate(_build_synth_config(obj, base_dir=Path(args.config).parent))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    h.schema.save(out / "schema.json")
-    write_histogram_csv(h, out / "histogram.csv")
+    _write_outputs(args.out, {"schema.json": h.schema, "histogram.csv": h})
     return 0
 
 
@@ -432,11 +430,8 @@ def _cmd_repair(args) -> int:
     spec = _parse_repair(_load_json(args.config))
     h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
     result = repair(h, spec, rounding=args.rounding)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_histogram_csv(result.rounded, out / "repaired.csv")
-    write_histogram_csv(result.fractional, out / "fractional.csv")
-    _write_json(_repair_report(result, h.total), out / "repair_report.json")
+    _write_outputs(args.out, {"repaired.csv": result.rounded, "fractional.csv": result.fractional,
+                              "repair_report.json": _repair_report(result, h.total)})
     return 0
 
 
@@ -447,10 +442,7 @@ def _cmd_privatize(args) -> int:
     h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
     params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_histogram_csv(result.histogram, out / "released.csv")
-    _write_json(_release_report(result, params), out / "release_report.json")
+    _write_outputs(args.out, {"released.csv": result.histogram, "release_report.json": _release_report(result, params)})
     if len(result.histogram) == 0:
         print("warning: empty release (threshold exceeded every bucket)", file=sys.stderr)
         return 0 if args.ok_empty else 4

@@ -419,12 +419,16 @@ def _range_starts(path) -> list[int]:
 
 def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
     """Bytes [start, stop) of the file at path, or from start to its end, in
-    chunks of about _CHUNK_BYTES, each but the last ending just after a newline."""
+    chunks of about _CHUNK_BYTES, each but the last ending just after a newline.
+    A NUL byte is a DataError on any Python (the csv module of 3.11 would read
+    it as a character, where that of 3.10 rejects it)."""
     with open(path, "rb") as f:
         if start:
             f.seek(start)
         rest = b""
         while block := f.read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - f.tell())):
+            if b"\0" in block:
+                raise DataError(f"{path} holds a NUL byte")
             chunk = rest + block
             cut = chunk.rfind(b"\n") + 1
             rest = chunk[cut:]
@@ -432,9 +436,11 @@ def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
         yield rest
 
 
-def _range_lines(path, start: int, stop: int | None) -> Iterator[str]:
-    """The lines of a range of the file at path, split as in a file opened
-    with newline="", from its chunks decoded as UTF-8 one at a time."""
+def text_lines(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """The lines of the UTF-8 text file at path, or of its bytes [start, stop),
+    split as in a file opened with newline="", from chunks decoded one at a
+    time.  The one reader of every trips, riders and neighbourhood file, so a
+    NUL byte in any of them is a DataError naming the file."""
     chunks = _range_chunks(path, start, stop)
     return itertools.chain.from_iterable(io.StringIO(chunk.decode("utf8"), newline="") for chunk in chunks)
 
@@ -442,7 +448,7 @@ def _range_lines(path, start: int, stop: int | None) -> Iterator[str]:
 def _scan_range(send, path, start: int, stop: int | None, header, config: TaxiConfig, schema: AttributeSchema) -> None:
     """In a forked worker: send the scan of one range, or the error that stopped it."""
     try:
-        result = _scan_taxi(csv.reader(_range_lines(path, start, stop)), header, config, schema)
+        result = _scan_taxi(csv.reader(text_lines(path, start, stop)), header, config, schema)
     except BaseException as exc:  # sent back to be raised in the reading process
         result = exc
     send.send(result)
@@ -457,7 +463,7 @@ def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_T
     ended by the time this returns or raises.
     """
     starts = _range_starts(path)
-    rows = csv.reader(_range_lines(path, 0, starts[1] if len(starts) > 1 else None))
+    rows = csv.reader(text_lines(path, 0, starts[1] if len(starts) > 1 else None))
     header = next(rows, [])  # read before the workers fork
     if len(starts) == 1:
         return [_scan_taxi(rows, header, config, schema)]

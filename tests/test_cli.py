@@ -458,6 +458,12 @@ MALFORMED_INPUTS = {
     "taxi-tip-threshold-misspelt": (lambda t: taxi_config_argv(t, tip_treshold=0.3), 2),
     "bike-helmet-values-misspelt": (lambda t: bike_ingest_argv(t, helmets=["yes", "no"]), 2),
     "bike-neighborhoods-and-a-missing-file": (lambda t: bike_ingest_argv(t, neighborhoods_file="missing.txt"), 2),
+    "fractional-input-repair-only": (lambda t: with_input_count(t, release_argv(t, privacy=None), "3.5"), 3),
+    "taxi-csv-nul-byte": (lambda t: with_replaced(t / "trips.csv", taxi_config_argv(t), "d1", "d\x00"), 3),
+    "bike-trips-csv-nul-byte": (lambda t: with_replaced(t / "trips.csv", bike_ingest_argv(t), "r1", "r\x001"), 3),
+    "bike-riders-csv-nul-byte": (lambda t: with_replaced(t / "riders.csv", bike_ingest_argv(t), "r2", "r\x002"), 3),
+    "bike-neighborhoods-file-nul-byte": (lambda t: with_replaced(
+        t / "nhoods.txt", bike_file_ingest_argv(t), "Fremont\n", "Fremont\nQueen\x00Anne\n"), 3),
 }
 
 

@@ -97,6 +97,8 @@ def _write_inputs(d: Path) -> None:
         "repair.json": {"x": "gender", "y": "rating", "z": ["origin", "destination"]},
         "privatize.json": {"epsilon": 1.0, "rho": 0.9, "seed": 4},
         "privatize_n.json": {"epsilon": 0.5, "rho": 0.05, "n": 300, "seed": 4},
+        "synth.json": {"generate_od": {"n_neighborhoods": 6, "n_pairs": 12, "total": 600, "seed": 3},
+                       "trips": 2000, "mode": "correlated", "seed": 5},
         "taxi.json": {"kind": "taxi", "trips_csv": "taxi.csv"},
         "bike.json": {"kind": "bike", "trips_csv": "bike_trips.csv", "riders_csv": "bike_riders.csv",
                       "neighborhoods": ["Ballard", "Downtown", "Fremont"], "companies": ["A", "B"]},
@@ -133,6 +135,7 @@ def _commands(d: Path) -> dict[str, list[str]]:
         "privatize-n": ["privatize", "--config", str(d / "privatize_n.json"), *hist],
         "ingest-taxi": ["ingest", "--config", str(d / "taxi.json")],
         "ingest-bike": ["ingest", "--config", str(d / "bike.json")],
+        "synth": ["synth", "--config", str(d / "synth.json"), "--seed", "8"],
     }
 
 
