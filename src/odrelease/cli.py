@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import file_path, finite, flag, labels, mapping, whole
+from .config import cpus_available, file_path, finite, flag, labels, mapping, whole
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
@@ -40,6 +40,7 @@ from .ingest import (
     text_lines,
 )
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, hellinger, pwkt
+from .parallel import MAX_WORKERS, forked_map
 from .privacy import PrivacyParams, ReleaseResult, privatize
 from .repair import FractionalRepairResult, RepairSpec, random_x_baseline, repair
 from .rng import derive_seed
@@ -373,7 +374,9 @@ def run_sweep(
 
     Each row holds the distances of that trial's final output against the
     original input; cells whose threshold wipes out every bucket report
-    bins_released = 0 and NaN distances.
+    bins_released = 0 and NaN distances.  The trials run in contiguous
+    chunks through parallel.forked_map, one per CPU available, and each
+    trial draws from its own seed, so the rows do not depend on the count.
     """
     if cfg.privacy is None:
         raise ConfigError("sweep requires privacy parameters in the pipeline config")
@@ -381,22 +384,27 @@ def run_sweep(
         raise ConfigError("sweep needs nonempty epsilon/rho grids and at least one trial")
     seed = cfg.seed if seed is None else seed
     original = _load_pipeline_input(cfg)
+    cells = [(eps, rho, trial, replace(cfg, privacy=_parse_privacy({**cfg.privacy, "epsilon": eps, "rho": rho})))
+             for eps in epsilons for rho in rhos for trial in range(trials)]  # configs parsed before any fork
 
-    rows = []
-    for eps in epsilons:
-        for rho in rhos:
-            cell_cfg = replace(cfg, privacy=_parse_privacy({**cfg.privacy, "epsilon": eps, "rho": rho}))
-            for trial in range(trials):
-                cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
-                final = _run_stages(original, cell_cfg, cell_seed).final
-                rows.append({
-                    "epsilon": eps,
-                    "rho": rho,
-                    "trial": trial,
-                    "pwkt": pwkt(original, final) if len(final) else math.nan,
-                    "hellinger": hellinger(original, final) if len(final) else math.nan,
-                    "bins_released": len(final),
-                })
+    def run(chunk) -> list[dict]:
+        rows = []
+        for eps, rho, trial, cell_cfg in chunk:
+            cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
+            final = _run_stages(original, cell_cfg, cell_seed).final
+            rows.append({
+                "epsilon": eps,
+                "rho": rho,
+                "trial": trial,
+                "pwkt": pwkt(original, final) if len(final) else math.nan,
+                "hellinger": hellinger(original, final) if len(final) else math.nan,
+                "bins_released": len(final),
+            })
+        return rows
+
+    workers = min(cpus_available(), MAX_WORKERS, len(cells))
+    chunks = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers] for i in range(workers)]
+    rows = [row for chunk_rows in forked_map(run, chunks) for row in chunk_rows]
 
     if out_path is not None:
         out_path = Path(out_path)

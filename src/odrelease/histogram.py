@@ -48,6 +48,8 @@ class AttributeSchema:
                 raise SchemaError(f"attribute {name!r} has an empty domain")
             if len(set(domain)) != len(domain):
                 raise SchemaError(f"attribute {name!r} has duplicate labels")
+            if any("\0" in label for label in domain):
+                raise SchemaError(f"attribute {name!r} has a label holding a NUL character")
             size *= len(domain)
             if size >= _INT64_LIMIT:
                 raise SchemaError("global bucket space does not fit in 63 bits")

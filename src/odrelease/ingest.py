@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 import os
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -25,6 +24,7 @@ import numpy as np
 from .config import cpus_available, finite, labels, mapping, numbers, text_map
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, BucketKey, Histogram
+from .parallel import MAX_WORKERS, forked_map
 from .rng import substream
 
 TIME_BUCKETS = ("morning", "day", "evening", "night")
@@ -388,21 +388,20 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
 
 
 # Reading a taxi CSV from its path.  A file of at least _SPLIT_MIN_BYTES with
-# no '"' byte is cut into up to _MAX_RANGES byte ranges, one per CPU available,
+# no '"' byte is cut into up to MAX_WORKERS byte ranges, one per CPU available,
 # each ending just after a newline.  With no quote character every line is a
-# whole row, so each range parses alone.  This process reads the first range,
-# header included, and a forked worker each of the others.  A process with
-# other threads reads one range, because a fork copies no thread but its caller.
+# whole row, so each range parses alone.  The ranges are scanned through
+# parallel.forked_map: this process reads the first range, header included,
+# and a forked worker each of the others.
 _SPLIT_MIN_BYTES = 8 << 20
-_MAX_RANGES = 4
 _CHUNK_BYTES = 1 << 20
 
 
 def _range_starts(path) -> list[int]:
     """The byte offset at which each range of the file at path starts."""
     size = os.path.getsize(path)
-    ranges = min(cpus_available(), _MAX_RANGES)
-    if size < _SPLIT_MIN_BYTES or ranges == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    ranges = min(cpus_available(), MAX_WORKERS)
+    if size < _SPLIT_MIN_BYTES or ranges == 1:
         return [0]
     starts = [0]
     with open(path, "rb") as f:
@@ -445,58 +444,22 @@ def text_lines(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
     return itertools.chain.from_iterable(io.StringIO(chunk.decode("utf8"), newline="") for chunk in chunks)
 
 
-def _scan_range(send, path, start: int, stop: int | None, header, config: TaxiConfig, schema: AttributeSchema) -> None:
-    """In a forked worker: send the scan of one range, or the error that stopped it."""
-    try:
-        result = _scan_taxi(csv.reader(text_lines(path, start, stop)), header, config, schema)
-    except BaseException as exc:  # sent back to be raised in the reading process
-        result = exc
-    send.send(result)
-    send.close()
-
-
 def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_TaxiScan]:
     """The scan of each range of the taxi CSV at path, first to last.
 
     If more than one range fails, the first range's error is raised, as a
-    read of the whole file from the start would raise it.  Every worker has
-    ended by the time this returns or raises.
+    read of the whole file from the start would raise it.
     """
     starts = _range_starts(path)
-    rows = csv.reader(text_lines(path, 0, starts[1] if len(starts) > 1 else None))
+    ranges = list(zip(starts, [*starts[1:], None]))
+    rows = csv.reader(text_lines(path, *ranges[0]))
     header = next(rows, [])  # read before the workers fork
-    if len(starts) == 1:
-        return [_scan_taxi(rows, header, config, schema)]
-    import multiprocessing  # only here: about 10 ms to import
 
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for start, stop in zip(starts[1:], [*starts[2:], None]):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_scan_range, args=(send, path, start, stop, header, config, schema))
-            worker.start()
-            send.close()
-            workers.append((worker, receive, start))
-        scans = [_scan_taxi(rows, header, config, schema)]
-        for worker, receive, start in workers:
-            try:
-                result = receive.recv()
-            except EOFError:  # the worker died before it could send
-                worker.join()
-                raise ChildProcessError(
-                    f"the worker reading {path} from byte {start} exited with code {worker.exitcode}"
-                ) from None
-            if isinstance(result, BaseException):
-                raise result
-            scans.append(result)
-        return scans
-    finally:
-        for worker, receive, _ in workers:
-            receive.close()
-            if worker.is_alive():
-                worker.terminate()
-            worker.join()
+    def scan(byte_range: tuple[int, int | None]) -> _TaxiScan:
+        lines = rows if byte_range == ranges[0] else csv.reader(text_lines(path, *byte_range))
+        return _scan_taxi(lines, header, config, schema)
+
+    return forked_map(scan, ranges)
 
 
 def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, config: TaxiConfig) -> IngestResult:

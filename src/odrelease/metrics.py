@@ -20,6 +20,7 @@ import numpy as np
 from .config import cpus_available
 from .errors import ConfigError, DataError, EmptyInputError
 from .histogram import Histogram, align, check_same_schema
+from .parallel import MAX_WORKERS, forked_map
 from .rng import substream
 
 METRIC_IDS = ("pwkt", "hellinger")
@@ -79,23 +80,22 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
     positions in value order, and sorting key = slot // 2w * (m + 1) + value
     merges each pair of blocks.  An element of a right block at slot s moves
     to slot merged[s] = s - w + (the number of smaller elements in the left
-    block), and the count of each slot moves with it.  Positions and counts
-    take sigma's integer type; the keys need int64.
+    block), and the count of each slot moves with it.  After the last pass
+    the slots hold the values 1..m in order, so the count of value v is at
+    slot v - 1.  Counts take sigma's integer type; the keys need int64.
     """
     m = len(sigma)
     slots = np.arange(m, dtype=sigma.dtype)
-    pos, values, count = slots, sigma, np.zeros_like(sigma)
+    values, count = sigma, np.zeros_like(sigma)
     merged = np.empty_like(sigma)
     shift = 0
     while (width := 1 << shift) < m:
         order = np.argsort((slots >> (shift + 1)).astype(np.int64) * (m + 1) + values, kind="stable")
         merged[order] = slots
         count += np.where(slots & width, merged - slots + width, 0)
-        pos, values, count = pos[order], values[order], count[order]
+        values, count = values[order], count[order]
         shift += 1
-    smaller = np.empty_like(sigma)
-    smaller[pos] = count
-    return smaller
+    return count[sigma - 1]
 
 
 def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
@@ -168,22 +168,22 @@ def _resolve_metric(metric) -> str | MetricFn:
     raise ConfigError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
 
 
-# A replicate at M holds the GIL for about a fifth of its time (two threads
-# ran 1.6-1.75x as many replicates a second as one), so threads beyond a
-# few would mostly wait for it.
-_MAX_WORKERS = 4
-# Below this many buckets a replicate is too short to gain from threads: with
-# 10 buckets two threads took 34.3 ms against 29.4 ms on one; at 300 they tie.
-_MIN_THREAD_BUCKETS = 300
+# Below this many buckets the replicates are too short to gain from a forked
+# worker.  200 replicates of both metrics, each run in a fresh process (the
+# fork and the multiprocessing import included), medians of 9-15 runs on 2
+# cores: two processes took 37.4 ms against 28.3 ms in one at 10 buckets,
+# 44.1 against 43.0 ms at 100 and 60.1 against 72.2 ms at 300.
+_MIN_FORK_BUCKETS = 300
 
 
 def _bootstrap_workers(resolved: Mapping[str, object], replicates: int, buckets: int) -> int:
-    """Threads to split the replicates over: the CPUs available, at most
-    _MAX_WORKERS, and one for a histogram of under _MIN_THREAD_BUCKETS buckets
-    or when a metric is a callable, which need not be thread-safe."""
-    if buckets < _MIN_THREAD_BUCKETS or any(callable(metric) for metric in resolved.values()):
+    """Jobs to split the replicates into: the CPUs available, at most
+    MAX_WORKERS, and one for a histogram of under _MIN_FORK_BUCKETS buckets
+    or when a metric is a callable, whose effects a forked worker would not
+    pass back."""
+    if buckets < _MIN_FORK_BUCKETS or any(callable(metric) for metric in resolved.values()):
         return 1
-    return min(cpus_available(), _MAX_WORKERS, replicates)
+    return min(cpus_available(), MAX_WORKERS, replicates)
 
 
 def bootstrap_distances(
@@ -201,13 +201,13 @@ def bootstrap_distances(
     are order independent and results for a given seed do not depend on
     which metrics are requested.
 
-    The replicates run in contiguous chunks on the CPUs available to the
-    process: the calling thread runs the first chunk and helper threads the
-    others, or the calling thread all of them for a small histogram or when
-    a metric is a callable.
-    Each result is stored by replicate index, so the output does not depend
-    on how many CPUs there are.  All substreams are opened on the calling
-    thread before the helpers start.
+    The replicates run in contiguous chunks through parallel.forked_map, one
+    chunk per CPU available: the calling process runs the first and forked
+    workers the others, or the calling process all of them for a small
+    histogram or when a metric is a callable.  The chunks' distances are
+    joined in replicate order, so the output does not depend on how many
+    CPUs there are.  All substreams are opened in the calling process before
+    any worker forks.
     """
     if not h.integral:
         raise DataError("bootstrap resampling requires an integer-mode histogram")
@@ -223,37 +223,28 @@ def bootstrap_distances(
     probs = counts / counts.sum()
     key_rank = h.schema.lex_rank(codes)
 
-    out = {name: np.empty(replicates) for name in resolved}
     streams = [substream(seed, "bootstrap", r) for r in range(replicates)]
 
-    def run(chunk: range) -> None:
-        for r in chunk:
+    def run(chunk: range) -> dict[str, np.ndarray]:
+        out = {name: np.empty(len(chunk)) for name in resolved}
+        for i, r in enumerate(chunk):
             sample = streams[r].multinomial(total, probs).astype(float)
             replicate_hist = None
             for name, metric in resolved.items():
                 if metric == "pwkt":
-                    out[name][r] = _pwkt_from_vectors(sample, key_rank)
+                    out[name][i] = _pwkt_from_vectors(sample, key_rank)
                 elif metric == "hellinger":
-                    out[name][r] = _hellinger_from_vectors(probs, sample / total)
+                    out[name][i] = _hellinger_from_vectors(probs, sample / total)
                 else:
                     if replicate_hist is None:
                         replicate_hist = Histogram.from_codes(h.schema, codes, sample)
-                    out[name][r] = metric(h, replicate_hist)
+                    out[name][i] = metric(h, replicate_hist)
+        return out
 
     workers = _bootstrap_workers(resolved, replicates, len(h))
     chunks = [range(replicates * i // workers, replicates * (i + 1) // workers) for i in range(workers)]
-    if workers == 1:
-        run(chunks[0])
-    else:
-        # Imported here: with the logging it pulls in, about 7 ms at start-up.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(run, chunk) for chunk in chunks[1:]]
-            run(chunks[0])
-            for helper in helpers:
-                helper.result()
-    return out
+    parts = forked_map(run, chunks)
+    return {name: np.concatenate([part[name] for part in parts]) for name in resolved}
 
 
 def _band(distances: np.ndarray) -> Band:

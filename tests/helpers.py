@@ -1,7 +1,9 @@
-"""Shared generators and brute-force oracles for the test suite."""
+"""Shared generators, brute-force oracles and process probes for the test suite."""
 
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 
@@ -21,6 +23,27 @@ from odrelease.privacy import ReleaseResult, _complement_codes, binomial_sample,
 from odrelease.rng import substream
 
 ATTR_NAMES = ("a0", "a1", "a2", "a3")
+
+
+def recording_pids(path, fn):
+    """fn, which first appends the id of the process it runs in to the file at path."""
+
+    def recorded(*args):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fn(*args)
+
+    return recorded
+
+
+def assert_no_child_left():
+    """No worker of this process is running or left unreaped."""
+    assert multiprocessing.active_children() == []
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left")
 
 
 def random_full_support_case(rng, binary_xy=False, max_labels=5):

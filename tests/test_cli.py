@@ -22,6 +22,7 @@ from odrelease import (
 )
 from odrelease import cli, metrics
 from odrelease.cli import PipelineConfig, main, run_measure, run_release, run_sweep
+from helpers import assert_no_child_left, recording_pids
 
 
 def write_small_input(tmp_path, counts=None):
@@ -464,6 +465,8 @@ MALFORMED_INPUTS = {
     "bike-riders-csv-nul-byte": (lambda t: with_replaced(t / "riders.csv", bike_ingest_argv(t), "r2", "r\x002"), 3),
     "bike-neighborhoods-file-nul-byte": (lambda t: with_replaced(
         t / "nhoods.txt", bike_file_ingest_argv(t), "Fremont\n", "Fremont\nQueen\x00Anne\n"), 3),
+    "schema-label-nul": (lambda t: with_replaced(
+        t / "schema.json", privatize_argv(t, {"epsilon": 5.0, "rho": 0.9}), '"o3"', '"o3", "o\\u00003"'), 3),
 }
 
 
@@ -640,6 +643,39 @@ class TestSweep:
         for row in rows:
             assert row["bins_released"] == 0
             assert math.isnan(row["pwkt"]) and math.isnan(row["hellinger"])
+
+    def test_rows_and_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        write_small_input(tmp_path)
+        cfg_path = write_pipeline_config(tmp_path)
+        pids = tmp_path / "pids"
+        monkeypatch.setattr(cli, "_run_stages", recording_pids(pids, cli._run_stages))
+        ran = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "cpus_available", lambda: cpus)
+            out = tmp_path / f"out{cpus}"
+            argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
+                    "--epsilons", "1,10", "--rhos", "0.5,0.9", "--trials", "2"]
+            assert main(argv) == 0
+            assert len(set(pids.read_text().split())) == cpus  # one process per chunk of trials
+            rows = run_sweep(PipelineConfig.load(cfg_path), [1.0, 10.0], [0.5, 0.9], trials=2)
+            ran[cpus] = (repr(rows), (out / "sweep.csv").read_bytes())  # repr: a NaN distance equals itself
+            pids.unlink()
+        assert ran[1] == ran[2] == ran[3]
+        assert_no_child_left()
+
+    def test_a_data_error_in_a_later_chunk_ends_as_in_a_serial_run(self, tmp_path, monkeypatch, capfd):
+        write_small_input(tmp_path)
+        cfg_path = write_pipeline_config(tmp_path)
+        ended = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "cpus_available", lambda: cpus)
+            out = tmp_path / f"out{cpus}"
+            code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--epsilons", "1,1e-305", "--rhos", "0.9", "--trials", "1"])  # the second cell overflows
+            ended.append((code, capfd.readouterr().err, out.exists()))
+        assert ended[0] == ended[1]
+        assert ended[0][0] == 3 and ended[0][1].startswith("data error: privacy stage:") and not ended[0][2]
+        assert_no_child_left()
 
     def test_sweep_without_privacy_rejected(self, tmp_path):
         write_small_input(tmp_path)

@@ -40,6 +40,10 @@ class TestSchema:
         with pytest.raises(SchemaError):
             AttributeSchema((("x", ("a", "a")),))
 
+    def test_a_label_holding_nul_is_rejected(self):
+        with pytest.raises(SchemaError, match="attribute 'x' has a label holding a NUL character"):
+            AttributeSchema((("x", ("a", "b\0c")),))
+
     def test_global_size_overflow_checked(self):
         domain = tuple(str(i) for i in range(256))
         attrs = tuple((f"x{i}", domain) for i in range(8))  # 256**8 == 2**64

@@ -295,18 +295,35 @@ class TestTaxiCsvRanges:
         monkeypatch.setattr(ingest, "cpus_available", lambda: 1)
         assert ingest._range_starts(path) == [0]
         monkeypatch.setattr(ingest, "cpus_available", lambda: 64)
-        assert len(ingest._range_starts(path)) == ingest._MAX_RANGES
+        assert len(ingest._range_starts(path)) == ingest.MAX_WORKERS
+        trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
+        assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
+
+    def test_a_process_with_other_threads_scans_every_range_itself(self, tmp_path, monkeypatch):
+        path = tmp_path / "trips.csv"
+        trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])
+        read_in(monkeypatch, 3)
+        assert len(ingest._range_starts(path)) == 3
+        want = taxi_preprocess(path, TaxiConfig())
+        scanned = []
+        scan = ingest._scan_taxi
+
+        def recorded(*args):
+            scanned.append(os.getpid())  # seen here only when called in this process
+            return scan(*args)
+
+        monkeypatch.setattr(ingest, "_scan_taxi", recorded)
         done = threading.Event()
         other = threading.Thread(target=done.wait)
         other.start()
         try:
-            assert ingest._range_starts(path) == [0]  # no fork while another thread runs
+            got = taxi_preprocess(path, TaxiConfig())  # no fork while another thread runs
         finally:
             done.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
-        assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
+        assert scanned == [os.getpid()] * 3
+        assert (got.stats, got.histogram) == (want.stats, want.histogram)
 
     @pytest.mark.parametrize("fault", [b"\xff", b"\x00"])
     def test_a_fault_in_the_last_range_ends_as_a_read_of_one_range_does(self, tmp_path, monkeypatch, capfd, fault):
@@ -348,7 +365,8 @@ class TestTaxiCsvRanges:
         path = tmp_path / "trips.csv"
         trips_csv(path, [None, None])
         read_in(monkeypatch, 2)
-        monkeypatch.setattr(ingest, "_scan_range", lambda *args: os._exit(7))
+        caller, scan = os.getpid(), ingest._scan_taxi
+        monkeypatch.setattr(ingest, "_scan_taxi", lambda *args: scan(*args) if os.getpid() == caller else os._exit(7))
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             taxi_preprocess(path, TaxiConfig())
         assert multiprocessing.active_children() == []

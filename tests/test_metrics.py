@@ -1,5 +1,5 @@
 import math
-import sys
+import os
 import threading
 
 import numpy as np
@@ -26,6 +26,7 @@ from helpers import (
     ladder_histograms,
     pwkt_bruteforce,
     ranking_of,
+    recording_pids,
 )
 
 
@@ -192,72 +193,52 @@ class TestBootstrap:
         assert seen == [h.total] * 25
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_distances_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+    def test_distances_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, workers):
         h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})  # tied counts
         wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
         monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 1)
         serial = bootstrap_distances(h, wanted, 5, seed=8)
-        threads = set()
-        kernel = metrics._pwkt_from_vectors
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            return kernel(*args)
-
-        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recorded)
+        pids = tmp_path / "pids"
+        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recording_pids(pids, metrics._pwkt_from_vectors))
         monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            split = bootstrap_distances(h, wanted, 5, seed=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) > 1  # the helpers did run replicates
+        split = bootstrap_distances(h, wanted, 5, seed=8)
+        ran = pids.read_text().split()
+        assert len(ran) == 5 and len(set(ran)) > 1  # forked workers did run replicates
         for name in wanted:
             assert serial[name].tobytes() == split[name].tobytes()
 
     def test_worker_count_is_bounded_by_cpus_cap_and_replicates(self, monkeypatch):
         monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == metrics._MAX_WORKERS
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == metrics.MAX_WORKERS
         assert metrics._bootstrap_workers({"d": "pwkt"}, 2, 1000) == 2
         assert metrics._bootstrap_workers({"d": "pwkt", "f": lambda reference, replicate: 0.0}, 200, 1000) == 1
         monkeypatch.setattr(metrics, "cpus_available", lambda: 1)
         assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == 1
 
-    def test_a_small_histogram_runs_on_the_calling_thread(self, monkeypatch):
+    def test_a_small_histogram_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
         monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
-        small = metrics._MIN_THREAD_BUCKETS
+        small = metrics._MIN_FORK_BUCKETS
         assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small - 1) == 1
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small) == metrics._MAX_WORKERS
+        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small) == metrics.MAX_WORKERS
         h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})
         wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
-        threads = set()
-        kernel = metrics._pwkt_from_vectors
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            return kernel(*args)
-
-        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recorded)
+        pids = tmp_path / "pids"
+        monkeypatch.setattr(metrics, "_pwkt_from_vectors", recording_pids(pids, metrics._pwkt_from_vectors))
         serial = bootstrap_distances(h, wanted, 12, seed=8)
-        assert threads == {threading.get_ident()}
+        assert pids.read_text().split() == [str(os.getpid())] * 12
         monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 3)
         split = bootstrap_distances(h, wanted, 12, seed=8)
         for name in wanted:
             assert serial[name].tobytes() == split[name].tobytes()
 
-    def test_a_callable_metric_runs_on_the_calling_thread(self, monkeypatch):
+    def test_a_callable_metric_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
         monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
-        monkeypatch.setattr(metrics, "_MIN_THREAD_BUCKETS", 0)  # threads even for this small histogram
+        monkeypatch.setattr(metrics, "_MIN_FORK_BUCKETS", 0)  # forks even for this small histogram
         h = hist("abcde", {"a": 13, "b": 9, "c": 4})
-        threads = set()
-
-        def probe(reference, replicate):
-            threads.add(threading.get_ident())
-            return 0.0
-
-        bootstrap_distances(h, {"pwkt": "pwkt", "probe": probe}, 12, seed=1)
-        assert threads == {threading.get_ident()}
+        pids = tmp_path / "pids"
+        bootstrap_distances(h, {"pwkt": "pwkt", "probe": recording_pids(pids, lambda reference, replicate: 0.0)},
+                            12, seed=1)
+        assert pids.read_text().split() == [str(os.getpid())] * 12
 
     def test_every_substream_is_opened_on_the_calling_thread(self, monkeypatch):
         h = hist("abcdef", {"a": 40, "b": 25, "c": 12, "d": 6, "e": 2})
