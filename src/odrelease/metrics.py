@@ -98,23 +98,59 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
     return count[sigma - 1]
 
 
-def _ranking_sigma(other_counts: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
+def _ranking_sigma(other_counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
     """Positions in the `other` ranking of the items in reference order.
 
     Both rankings sort by (count descending, key ascending).  The items are
     given in reference ranking order, so only the other ranking needs
-    sorting; key_rank sorts the items like their keys do.  sigma is int32
-    while it can be, which halves the merge's memory traffic.
+    sorting; key_order lists them in key order, so one stable sort of the
+    counts taken in that order finishes it.  Integer counts sort by
+    max - count, as uint16 while they span less than 2**16, which numpy
+    sorts by radix; float counts sort by -count, which keeps fractions
+    apart.  sigma is int32 while it can be, which halves the merge's memory
+    traffic.
     """
     m = len(other_counts)
+    counts = other_counts[key_order]
+    if counts.dtype.kind == "f":
+        key = -counts
+    else:
+        key = counts.max() - counts
+        if key.max() < 2**16:
+            key = key.astype(np.uint16)
     sigma = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
-    sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, m + 1)
+    sigma[key_order[np.argsort(key, kind="stable")]] = np.arange(1, m + 1)
     return sigma
 
 
-def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting: str = "harmonic") -> float:
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()), the correctly rounded sum, for nonnegative finite floats.
+
+    Each value is a 53-bit integer mantissa times a power of two, and the
+    mantissa is cut into a high 27-bit and a low 26-bit half.  np.bincount
+    sums each half per exponent, exactly while no more than 2**26 values
+    are summed; Python integers add those sums up, and one integer true
+    division rounds the total, subnormal results included.
+    """
+    if not 0 < len(values) <= 2**26:
+        return math.fsum(values.tolist())
+    mantissas, exponents = np.frexp(values)
+    low, high = np.modf(mantissas * 2.0**27)
+    low *= 2.0**26
+    lowest = int(exponents.min())
+    exponents -= lowest
+    highs = np.bincount(exponents, weights=high).tolist()
+    lows = np.bincount(exponents, weights=low).tolist()
+    total = sum(((int(h) << 26) + int(l)) << e for e, (h, l) in enumerate(zip(highs, lows)) if h or l)
+    scale = lowest - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
+def _pwkt_from_vectors(other_counts: np.ndarray, key_order: np.ndarray, weights: np.ndarray) -> float:
     """pwkt of items given in reference ranking order against their `other` counts.
 
+    key_order lists the items in key order and weights holds the position
+    weights, both computed once for every `other` over the same reference.
     Each discordant pair costs half the sum of its two position weights, so
     the total is half the exactly rounded sum of weight times inversion
     participation per position.  Position j (0-based) is inverted with the
@@ -124,11 +160,10 @@ def _pwkt_from_vectors(other_counts: np.ndarray, key_rank: np.ndarray, weighting
     m = len(other_counts)
     if m <= 1:
         return 0.0
-    weights = _position_weights(m, weighting)
-    sigma = _ranking_sigma(other_counts, key_rank)
+    sigma = _ranking_sigma(other_counts, key_order)
     smaller = _smaller_before(sigma).astype(np.int64)
     participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller
-    return 0.5 * math.fsum((weights * participation).tolist())
+    return 0.5 * _exact_sum(weights * participation)
 
 
 def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") -> float:
@@ -140,7 +175,9 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     disagreement near the top of the reference ranking dominates.
     """
     codes, _, other_counts = align(reference, other)
-    return _pwkt_from_vectors(other_counts, reference.schema.lex_rank(codes), weighting)
+    weights = _position_weights(len(codes), weighting)
+    key_order = np.argsort(reference.schema.lex_rank(codes))
+    return _pwkt_from_vectors(other_counts, key_order, weights)
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -168,11 +205,12 @@ def _resolve_metric(metric) -> str | MetricFn:
     raise ConfigError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
 
 
-# Below this many buckets the replicates are too short to gain from a forked
-# worker.  200 replicates of both metrics, each run in a fresh process (the
-# fork and the multiprocessing import included), medians of 9-15 runs on 2
-# cores: two processes took 37.4 ms against 28.3 ms in one at 10 buckets,
-# 44.1 against 43.0 ms at 100 and 60.1 against 72.2 ms at 300.
+# Below this many buckets the replicates are too short to gain much from a
+# forked worker.  200 replicates of both metrics, each run in a fresh process
+# (the fork and the multiprocessing import included), medians of 15 runs on 2
+# cores: two processes took 38.7 ms against 28.9 ms in one at 10 buckets,
+# 49.4 against 48.6 ms at 100, 55.8 against 63.7 ms at 200 and 62.9 against
+# 73.6 ms at 300.
 _MIN_FORK_BUCKETS = 300
 
 
@@ -221,18 +259,19 @@ def bootstrap_distances(
     codes, counts = h.codes[order], h.counts[order].astype(float)
     total = int(h.total)
     probs = counts / counts.sum()
-    key_rank = h.schema.lex_rank(codes)
+    key_order = np.argsort(h.schema.lex_rank(codes))
+    weights = _position_weights(len(h), "harmonic")
 
     streams = [substream(seed, "bootstrap", r) for r in range(replicates)]
 
     def run(chunk: range) -> dict[str, np.ndarray]:
         out = {name: np.empty(len(chunk)) for name in resolved}
         for i, r in enumerate(chunk):
-            sample = streams[r].multinomial(total, probs).astype(float)
+            sample = streams[r].multinomial(total, probs)
             replicate_hist = None
             for name, metric in resolved.items():
                 if metric == "pwkt":
-                    out[name][i] = _pwkt_from_vectors(sample, key_rank)
+                    out[name][i] = _pwkt_from_vectors(sample, key_order, weights)
                 elif metric == "hellinger":
                     out[name][i] = _hellinger_from_vectors(probs, sample / total)
                 else:

@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from odrelease import AttributeSchema, DataError, EmptyInputError, Histogram, RepairSpec
+from odrelease.histogram import align
 from odrelease.ingest import (
     TERTILE_LABELS,
     TIME_BUCKETS,
@@ -19,6 +20,7 @@ from odrelease.ingest import (
     tertiles,
     time_bucket,
 )
+from odrelease.metrics import _position_weights, _smaller_before
 from odrelease.privacy import ReleaseResult, _complement_codes, binomial_sample, exponential_sample, laplace_sample
 from odrelease.rng import substream
 
@@ -157,6 +159,25 @@ def pwkt_bruteforce(ref_ranking, other_ranking, weight=lambda i: 1.0 / i):
             if (pos_ref[u] - pos_ref[v]) * (pos_other[u] - pos_other[v]) < 0:
                 terms.append(0.5 * (weight(pos_ref[u]) + weight(pos_ref[v])))
     return math.fsum(terms)
+
+
+def pwkt_kernel_lexsort(other_counts, key_rank, weighting="harmonic"):
+    """The pwkt kernel with sigma from one lexsort of (key, -count) and math.fsum over a list."""
+    m = len(other_counts)
+    if m <= 1:
+        return 0.0
+    weights = _position_weights(m, weighting)
+    sigma = np.empty(m, dtype=np.int32)
+    sigma[np.lexsort((key_rank, -other_counts))] = np.arange(1, m + 1)
+    smaller = _smaller_before(sigma).astype(np.int64)
+    participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller
+    return 0.5 * math.fsum((weights * participation).tolist())
+
+
+def pwkt_lexsort(reference, other, weighting="harmonic"):
+    """pwkt through pwkt_kernel_lexsort."""
+    codes, _, other_counts = align(reference, other)
+    return pwkt_kernel_lexsort(other_counts, reference.schema.lex_rank(codes), weighting)
 
 
 def ladder_histograms(m):

@@ -25,6 +25,7 @@ from helpers import (
     full_reversal_closed_form,
     ladder_histograms,
     pwkt_bruteforce,
+    pwkt_lexsort,
     ranking_of,
     recording_pids,
 )
@@ -147,6 +148,32 @@ class TestPwkt:
         assert pwkt(ref, rev, weighting="exponential") == pytest.approx(brute, abs=1e-12)
         with pytest.raises(ConfigError):
             pwkt(ref, rev, weighting="linear")
+
+    @pytest.mark.parametrize("counts", [{}, {"a": 4}, {"a": 4, "b": 1}])
+    def test_unknown_weighting_is_rejected_for_any_union_size(self, counts):
+        h = hist("abc", counts)
+        with pytest.raises(ConfigError):
+            pwkt(h, h, weighting="bogus")
+
+    def test_fractional_counts_are_ranked_unrounded(self):
+        ref = hist("pqr", {"p": 3, "q": 2, "r": 1})
+        other = hist("pqr", {"p": 1.2, "q": 1.7, "r": 1.5}, integral=False)
+        assert pwkt(ref, other) == 1.4166666666666667  # q, r, p: (1 + 1/2)/2 + (1 + 1/3)/2
+
+    def test_counts_spanning_2_16_or_more(self):
+        ref = hist("pqrst", {"p": 70_000, "q": 69_990, "r": 40_000, "s": 5, "t": 3})
+        other = hist("pqrst", {"p": 3, "q": 70_001, "r": 69_000, "s": 40_000, "t": 5})
+        union = support_union(ref, other)
+        brute = pwkt_bruteforce(ranking_of(ref, union), ranking_of(other, union))
+        assert pwkt(ref, other) == pwkt_lexsort(ref, other) == brute
+        distances = bootstrap_distances(ref, {"pwkt": "pwkt", "oracle": pwkt_lexsort}, 20, seed=6)
+        assert distances["pwkt"].tobytes() == distances["oracle"].tobytes()
+        assert np.count_nonzero(distances["pwkt"]) > 0  # the resamples do reorder p, q and r
+
+    def test_exponential_ladder_with_subnormal_terms_matches_the_oracle(self):
+        # The exponential weights of positions 1,024 to 1,075 are subnormal, and later ones 0.
+        ref, rev = ladder_histograms(1100)
+        assert pwkt(ref, rev, weighting="exponential") == pwkt_lexsort(ref, rev, weighting="exponential")
 
 
 class TestPercentile:

@@ -36,9 +36,17 @@ from odrelease import (
 )
 from odrelease import ingest
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
-from odrelease.metrics import _smaller_before
+from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
 
-from helpers import largest_remainder_repair, privatize_per_bin, pwkt_bruteforce, ranking_of, taxi_preprocess_per_row
+from helpers import (
+    largest_remainder_repair,
+    privatize_per_bin,
+    pwkt_bruteforce,
+    pwkt_kernel_lexsort,
+    pwkt_lexsort,
+    ranking_of,
+    taxi_preprocess_per_row,
+)
 
 WEIGHTS = {"harmonic": lambda i: 1.0 / i, "exponential": lambda i: 0.5 ** (i - 1)}
 
@@ -101,10 +109,55 @@ def test_pwkt_matches_bruteforce(pair, weighting):
 @given(histograms(max_count=6), st.integers(0, 2**31))
 def test_bootstrap_fast_path_matches_public_metrics(h, seed):
     assume(h.total > 0)
-    metrics = {"pwkt": "pwkt", "hellinger": "hellinger", "pwkt_fn": pwkt, "hellinger_fn": hellinger}
+    metrics = {"pwkt": "pwkt", "hellinger": "hellinger", "pwkt_fn": pwkt, "hellinger_fn": hellinger,
+               "pwkt_oracle": pwkt_lexsort}
     d = bootstrap_distances(h, metrics, replicates=3, seed=seed)
     assert np.array_equal(d["pwkt"], d["pwkt_fn"])
+    assert d["pwkt"].tobytes() == d["pwkt_oracle"].tobytes()
     assert np.allclose(d["hellinger"], d["hellinger_fn"], rtol=0, atol=1e-12)
+
+
+@st.composite
+def count_vectors(draw):
+    """Counts over 2-80 items from a few values, so ties are common: whole
+    counts from an offset that puts them below, across or above 2**16, or
+    fractional ones."""
+    m = draw(st.integers(2, 80))
+    if draw(st.booleans()):
+        offset = draw(st.sampled_from([0, 2**16 - 3, 70_000, 2**40]))
+        values = draw(st.lists(st.sampled_from([0, 1, 2, 5, 2**16]), min_size=m, max_size=m))
+        return np.array(values, dtype=np.int64) + offset
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.2, 1.5, 1.7, 3.0]), min_size=m, max_size=m))
+    return np.array(values)
+
+
+@property_settings
+@given(count_vectors(), st.randoms(use_true_random=False), st.sampled_from(sorted(WEIGHTS)))
+def test_pwkt_kernel_equals_the_lexsort_oracle_bit_for_bit(counts, random, weighting):
+    key_rank = np.array(random.sample(range(10 * len(counts)), len(counts)))
+    fast = _pwkt_from_vectors(counts, np.argsort(key_rank), _position_weights(len(counts), weighting))
+    assert fast.hex() == pwkt_kernel_lexsort(counts, key_rank, weighting).hex()
+
+
+# Nonnegative finite floats, with the edges drawn often: zero, subnormals,
+# the smallest normal and values near the largest float.
+summands = st.one_of(
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(0.0, 1e-300),
+)
+
+
+@property_settings
+@given(st.lists(summands, min_size=0, max_size=60))
+def test_exact_sum_equals_fsum(values):
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array(values, dtype=float))
+        return
+    assert _exact_sum(np.array(values, dtype=float)).hex() == expected.hex()
 
 
 @property_settings
