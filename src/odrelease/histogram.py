@@ -326,12 +326,15 @@ class Groups(NamedTuple):
         return out
 
 
-def bucket_groups(h: Histogram, attrs: Sequence[str]) -> Groups:
-    """Group the active buckets of h by their labels on `attrs`."""
+def bucket_groups(h: Histogram, attrs: Sequence[str], positions: np.ndarray | None = None) -> Groups:
+    """Group the active buckets of h by their labels on `attrs`; `positions`,
+    when given, is h.schema.label_positions(h.codes)."""
     if len(set(attrs)) != len(attrs):
         raise SchemaError(f"duplicate attributes in projection: {list(attrs)}")
     schema = h.schema.subset(attrs)
-    positions = h.schema.label_positions(h.codes)[:, [h.schema.position(a) for a in attrs]]
+    if positions is None:
+        positions = h.schema.label_positions(h.codes)
+    positions = positions[:, [h.schema.position(a) for a in attrs]]
     codes, first, index = np.unique(positions @ schema.strides, return_index=True, return_inverse=True)
     return Groups(schema, codes, first, index)
 
@@ -362,14 +365,24 @@ def check_same_schema(h1: Histogram, h2: Histogram) -> None:
         raise SchemaError("histograms have different schemas")
 
 
-def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Codes of the union of both active domains in the reference ranking,
-    (reference count desc, key asc), with each histogram's counts there."""
+    (reference count desc, key asc), with each histogram's counts there and
+    the codes' lex_rank."""
     check_same_schema(reference, other)
-    codes = np.union1d(reference.codes, other.codes)
-    ref, oth = reference.counts_at(codes), other.counts_at(codes)
-    order = np.lexsort((reference.schema.lex_rank(codes), -ref))
-    return codes[order], ref[order], oth[order]
+    both = np.concatenate([reference.codes, other.codes])
+    order = np.argsort(both, kind="stable")  # merges the two ascending runs of distinct codes
+    merged = both[order]
+    first = np.empty(len(merged), dtype=bool)
+    first[:1] = True
+    first[1:] = merged[1:] != merged[:-1]
+    codes, slot = merged[first], np.empty(len(both), dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    ref, oth = (np.zeros(len(codes), dtype=h.counts.dtype) for h in (reference, other))
+    ref[slot[: len(reference)]], oth[slot[len(reference) :]] = reference.counts, other.counts
+    key = reference.schema.lex_rank(codes)
+    order = np.lexsort((key, -ref))
+    return codes[order], ref[order], oth[order], key[order]
 
 
 def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:

@@ -174,10 +174,9 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     the average of the harmonic weights of its two reference positions, so
     disagreement near the top of the reference ranking dominates.
     """
-    codes, _, other_counts = align(reference, other)
+    codes, _, other_counts, key_rank = align(reference, other)
     weights = _position_weights(len(codes), weighting)
-    key_order = np.argsort(reference.schema.lex_rank(codes))
-    return _pwkt_from_vectors(other_counts, key_order, weights)
+    return _pwkt_from_vectors(other_counts, np.argsort(key_rank), weights)
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -190,7 +189,7 @@ def hellinger(h1: Histogram, h2: Histogram) -> float:
     check_same_schema(h1, h2)
     if h1.total <= 0 or h2.total <= 0:
         raise EmptyInputError("Hellinger distance of an empty histogram")
-    _, p, q = align(h1, h2)
+    _, p, q, _ = align(h1, h2)
     return _hellinger_from_vectors(p / h1.total, q / h2.total)
 
 

@@ -198,11 +198,12 @@ def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
     """Run the categorical release mechanism on an integer-mode histogram.
 
     Each active bin draws its Laplace noise from the first uniform of the
-    substream (seed, "active", bucket index in canonical order), so per-bin
-    noising is order independent; all bins' uniforms come from one
-    `first_uniforms` pass.  Released counts are rounded half to even with a
-    floor of 1 at emission; the threshold test itself happens on the real
-    noised value.
+    substream (seed, "active", bucket index in canonical order), and spurious
+    value j from that of (seed, "spurious-value", j), so per-bin noising is
+    order independent; each label's uniforms come from one
+    `first_uniforms(seed, label, count)` pass.  Released counts are rounded
+    half to even with a floor of 1 at emission; the threshold test itself
+    happens on the real noised value.
     """
     if not h.integral:
         raise DataError("privatize expects an integer-mode histogram")
@@ -210,7 +211,7 @@ def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
     eps, tau, n = params.epsilon, params.tau, params.n
     _check_rho_epsilon(params.rho, eps)
     order = h.ranking()
-    uniforms = first_uniforms(seed, (("active", i) for i in range(len(h))))
+    uniforms = first_uniforms(seed, "active", len(h))
     noised = _laplace(h.counts[order].astype(np.float64), 1.0 / eps, uniforms)
     kept = noised >= tau
     codes, values = [h.codes[order][kept]], [noised[kept]]
@@ -219,7 +220,7 @@ def privatize(h: Histogram, params: PrivacyParams, seed: int) -> ReleaseResult:
     if n >= 1:
         k = binomial_sample(n, 0.5 * math.exp(-eps * tau), substream(seed, "spurious-count"))
         codes.append(_complement_codes(schema, h.codes, k, substream(seed, "spurious-keys")))
-        uniforms = first_uniforms(seed, (("spurious-value", j) for j in range(k)))
+        uniforms = first_uniforms(seed, "spurious-value", k)
         values.append(tau + _exponential(1.0 / eps, uniforms))
 
     released = np.maximum(1, np.rint(np.concatenate(values)))

@@ -9,15 +9,25 @@ the contingency-table marginals of the input:
 
 Because the factorization runs over active buckets only, every marginal on
 the right is at least the bucket count itself and no division by zero can
-occur.  Marginals are group-by sums over bucket codes, added in code order,
-and integer counts enter every ratio as exact Python integers.
+occur.  Marginals are group-by sums over bucket codes, added in code order.
+
+Every ratio of counts has the bits Python arithmetic on the counts gives:
+float counts multiply and divide as IEEE doubles, left to right, and
+integer counts multiply exactly and divide with one correct rounding.
+numpy float64 computes both while each integer product is below 2**53,
+where doubles hold integers exactly; an integer ratio whose numerator or
+denominator reaches 2**53 (for instance, any histogram totalling 2**53 or
+more) is computed on Python integers instead.  Logarithms and sums stay
+math.log and math.fsum, term by term.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from functools import reduce
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +37,9 @@ from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair
 from .rng import substream
 
 ROUNDING_MODES = ("largest_remainder", "half_even")
+
+# Below this, float64 holds every integer exactly.
+_EXACT_INTEGERS = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -82,14 +95,49 @@ class ATEResult(NamedTuple):
     skipped_strata: int
 
 
-def _margins(h: Histogram, spec: RepairSpec) -> tuple[list[np.ndarray], Groups]:
-    """Each bucket's count summed over its (x,z), (y,z), z and (x,y,z) groups,
-    as object arrays of Python numbers, and the (x,y,z) groups."""
-    sums = []
-    for attrs in ((spec.x, *spec.z), (spec.y, *spec.z), spec.z, (spec.x, spec.y, *spec.z)):
-        groups = bucket_groups(h, attrs)
-        sums.append(groups.sum(h.counts).astype(object)[groups.index])
-    return sums, groups
+def _groupings(h: Histogram, spec: RepairSpec) -> tuple[Groups, Groups, Groups, Groups]:
+    """The buckets of h grouped by (x,z), (y,z), z and (x,y,z)."""
+    xyz, positions = (spec.x, spec.y, *spec.z), h.schema.label_positions(h.codes)
+    return tuple(bucket_groups(h, attrs, positions) for attrs in ((spec.x, *spec.z), (spec.y, *spec.z), spec.z, xyz))
+
+
+def _margins(groupings: Sequence[Groups], counts: np.ndarray) -> list[np.ndarray]:
+    """Each bucket's count summed over each of its groups, in the counts' dtype."""
+    return [groups.sum(counts)[groups.index] for groups in groupings]
+
+
+def _quotients(numerators, denominators, integral: bool) -> np.ndarray:
+    """Elementwise product of the numerators over product of the denominators,
+    each product taken left to right, as Python arithmetic on the counts gives it.
+
+    Factors are arrays or scalars of counts.  Float counts: float64 is
+    Python's float arithmetic.  Integer counts are at least 1, so each
+    product is at least each of its factors; while both float64 products
+    stay below 2**53 they are exact and the division rounds the exact
+    quotient once, as Python's int true division does.  Otherwise the
+    products are taken on Python integers.
+    """
+    factors = (numerators, denominators)
+    num, den = (reduce(np.multiply, [np.asarray(f, dtype=np.float64) for f in fs]) for fs in factors)
+    if integral and not (np.all(num < _EXACT_INTEGERS) and np.all(den < _EXACT_INTEGERS)):
+        num, den = (reduce(operator.mul, [np.asarray(f).astype(object) for f in fs]) for fs in factors)
+        return np.asarray(num / den, dtype=np.float64)
+    if not np.all(den):  # a float product can underflow to 0, which Python would refuse to divide by
+        raise DataError("counts too small: a product of margins underflows to zero")
+    return num / den
+
+
+def _sum_p_log(p: np.ndarray, ratios: np.ndarray) -> float:
+    """math.fsum of p * math.log(ratio), term by term."""
+    return math.fsum(map(operator.mul, p.tolist(), map(math.log, ratios.tolist())))
+
+
+def _cmi(groupings: Sequence[Groups], margins: Sequence[np.ndarray], total, integral: bool) -> float:
+    """I(X;Y|Z) from the groupings and the per-bucket margins of one histogram."""
+    first = groupings[3].first
+    xz, yz, z, c = (margin[first] for margin in margins)
+    ratios = _quotients((z, c), (xz, yz), integral)
+    return max(_sum_p_log(_quotients((c,), (total,), integral), ratios), 0.0)
 
 
 def conditional_mutual_information(h: Histogram, spec: RepairSpec) -> float:
@@ -100,14 +148,10 @@ def conditional_mutual_information(h: Histogram, spec: RepairSpec) -> float:
     point are clamped to zero.  Integer counts enter the ratio exactly.
     """
     spec.validate(h.schema)
-    n = h.total
-    if n <= 0:
+    if h.total <= 0:
         raise EmptyInputError("conditional mutual information of an empty histogram")
-    (xz, yz, z, xyz), groups = _margins(h, spec)
-    first = groups.first
-    c = xyz[first]
-    ratios = z[first] * c / (xz[first] * yz[first])
-    return max(math.fsum((ci / n) * math.log(r) for ci, r in zip(c, ratios)), 0.0)
+    groupings = _groupings(h, spec)
+    return _cmi(groupings, _margins(groupings, h.counts), h.total, h.integral)
 
 
 def kl_divergence(h: Histogram, q: Histogram) -> float:
@@ -121,9 +165,8 @@ def kl_divergence(h: Histogram, q: Histogram) -> float:
     qc = q.counts_at(h.codes)
     if np.any(qc <= 0):
         return math.inf
-    p = h.counts.astype(object) / h.total
-    ratios = p / (qc.astype(object) / q.total)
-    return math.fsum(pi * math.log(r) for pi, r in zip(p, ratios))
+    p = _quotients((h.counts,), (h.total,), h.integral)
+    return _sum_p_log(p, _quotients((p,), (_quotients((qc,), (q.total,), q.integral),), False))
 
 
 def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") -> FractionalRepairResult:
@@ -143,9 +186,12 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     if h.total <= 0:
         raise EmptyInputError("cannot repair an empty histogram")
     schema = h.schema
-    (xz, yz, z, xyz), groups = _margins(h, spec)
-    frac = (h.counts.astype(object) * xz * yz / (z * xyz)).astype(float)
+    groupings = _groupings(h, spec)
+    margins = _margins(groupings, h.counts)
+    xz, yz, z, xyz = margins
+    frac = _quotients((h.counts, xz, yz), (z, xyz), h.integral)
     fractional = Histogram.from_codes(schema, h.codes, frac, integral=False)
+    groups = groupings[3]
 
     if rounding == "largest_remainder":
         floors = np.floor(frac)
@@ -153,21 +199,23 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
         group_of = groups.index[order]
         starts = np.searchsorted(group_of, np.arange(len(groups.codes)))
         ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]
-        targets = np.array([round(math.fsum(ordered[a:b])) for a, b in zip(bounds, bounds[1:])])
-        short = targets - groups.sum(floors.astype(np.int64))
+        sums = frac[groups.first]  # a one-bucket group's sum is its count
+        for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            sums[g] = math.fsum(ordered[bounds[g]:bounds[g + 1]])
+        short = np.rint(sums).astype(np.int64) - groups.sum(floors.astype(np.int64))
         rounded_counts = floors.astype(np.int64)
         rounded_counts[order] += np.arange(len(order)) - starts[group_of] < short[group_of]
     else:
         rounded_counts = np.rint(frac)
     rounded = Histogram.from_codes(schema, h.codes, rounded_counts)
 
-    cmi_before = conditional_mutual_information(h, spec)
-    cmi_after = conditional_mutual_information(fractional, spec)
+    # fractional has h's buckets unless a float product underflowed to zero
+    after = groupings if len(fractional) == len(h) else _groupings(fractional, spec)
     return FractionalRepairResult(
         fractional=fractional,
         rounded=rounded,
-        cmi_before=cmi_before,
-        cmi_after=cmi_after,
+        cmi_before=_cmi(groupings, margins, h.total, h.integral),
+        cmi_after=_cmi(after, _margins(after, fractional.counts), fractional.total, False),
         kl_divergence=kl_divergence(h, fractional),
     )
 

@@ -9,14 +9,14 @@ of another, and per-bucket streams can be drawn concurrently.
 Compatibility contract: the Laplace noise of the active bin at position i of
 the canonical order is built from the first draw of
 ``substream(seed, "active", i)``, and spurious value j from the first draw of
-``substream(seed, "spurious-value", j)``.  ``first_uniforms`` computes those
-draws for all bins at once; a release must not change when it does.
+``substream(seed, "spurious-value", j)``.  ``first_uniforms(seed, label,
+count)`` computes those draws for i = 0 .. count - 1 at once, bit for bit;
+a release must not change when it does.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -48,22 +48,14 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(_digest(seed, labels), "big") >> 65
 
 
-def _digests(seed: int, label_paths: Iterable[tuple]) -> bytes:
-    """The _digest of every labels tuple, concatenated.  Paths that share all
-    but their last label hash that prefix once and copy the hash state."""
-    seed_text = repr(int(seed))
-    heads: dict[str, "hashlib.blake2b"] = {}
+def _indexed_digests(seed: int, label: str, count: int) -> bytes:
+    """The _digest of (label, i) for i in range(count), concatenated.  The
+    shared prefix is hashed once and each index on a copy of that state."""
+    head = hashlib.blake2b("\x1f".join([repr(int(seed)), repr(label), ""]).encode("utf8"), digest_size=16)
     digests = bytearray()
-    for labels in label_paths:
-        if not labels:
-            digests += _digest(seed, labels)
-            continue
-        prefix = "\x1f".join([seed_text, *map(repr, labels[:-1]), ""])
-        head = heads.get(prefix)
-        if head is None:
-            head = heads[prefix] = hashlib.blake2b(prefix.encode("utf8"), digest_size=16)
+    for i in range(count):
         path = head.copy()
-        path.update(repr(labels[-1]).encode("utf8"))
+        path.update(str(i).encode("utf8"))
         digests += path.digest()
     return bytes(digests)
 
@@ -77,15 +69,15 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (lo_hi >> _32) + (hi_lo >> _32) + carry, m * x
 
 
-def first_uniforms(seed: int, label_paths: Iterable[tuple]) -> np.ndarray:
-    """``substream(seed, *labels).random()`` for every labels tuple, in one numpy pass.
+def first_uniforms(seed: int, label: str, count: int) -> np.ndarray:
+    """``substream(seed, label, i).random()`` for i in range(count), in one numpy pass.
 
     numpy's Philox keys a stream by the path digest split as (low 64, high
     64) bits and increments its counter before the first block, so the first
     draw is word 0 of ten Philox-4x64 rounds on the counter (1, 0, 0, 0),
     turned into a double in [0, 1) by its top 53 bits.
     """
-    words = np.frombuffer(_digests(seed, label_paths), dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    words = np.frombuffer(_indexed_digests(seed, label, count), dtype=">u8").astype(np.uint64).reshape(-1, 2)
     k0, k1 = words[:, 1], words[:, 0]
     c0 = np.ones(len(words), dtype=np.uint64)
     c1 = c2 = c3 = np.zeros(len(words), dtype=np.uint64)

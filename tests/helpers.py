@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from odrelease import AttributeSchema, DataError, EmptyInputError, Histogram, RepairSpec
-from odrelease.histogram import align
+from odrelease.histogram import align, bucket_groups
 from odrelease.ingest import (
     TERTILE_LABELS,
     TIME_BUCKETS,
@@ -176,8 +176,69 @@ def pwkt_kernel_lexsort(other_counts, key_rank, weighting="harmonic"):
 
 def pwkt_lexsort(reference, other, weighting="harmonic"):
     """pwkt through pwkt_kernel_lexsort."""
-    codes, _, other_counts = align(reference, other)
-    return pwkt_kernel_lexsort(other_counts, reference.schema.lex_rank(codes), weighting)
+    _, _, other_counts, key_rank = align(reference, other)
+    return pwkt_kernel_lexsort(other_counts, key_rank, weighting)
+
+
+def align_union1d(reference, other):
+    """align through np.union1d and counts_at: the union's codes in the reference
+    ranking, each histogram's counts there and the codes' lex_rank."""
+    codes = np.union1d(reference.codes, other.codes)
+    ref, oth = reference.counts_at(codes), other.counts_at(codes)
+    key = reference.schema.lex_rank(codes)
+    order = np.lexsort((key, -ref))
+    return codes[order], ref[order], oth[order], key[order]
+
+
+def margins_object(h, spec):
+    """Each bucket's count summed over its (x,z), (y,z), z and (x,y,z) groups,
+    as object arrays of Python numbers, and the (x,y,z) groups."""
+    sums = []
+    for attrs in ((spec.x, *spec.z), (spec.y, *spec.z), spec.z, (spec.x, spec.y, *spec.z)):
+        groups = bucket_groups(h, attrs)
+        sums.append(groups.sum(h.counts).astype(object)[groups.index])
+    return sums, groups
+
+
+def cmi_object(h, spec):
+    """conditional_mutual_information with every ratio taken on object arrays of Python numbers."""
+    n = h.total
+    (xz, yz, z, xyz), groups = margins_object(h, spec)
+    first = groups.first
+    c = xyz[first]
+    ratios = z[first] * c / (xz[first] * yz[first])
+    return max(math.fsum((ci / n) * math.log(r) for ci, r in zip(c, ratios)), 0.0)
+
+
+def kl_object(h, q):
+    """kl_divergence with every ratio taken on object arrays of Python numbers."""
+    qc = q.counts_at(h.codes)
+    if np.any(qc <= 0):
+        return math.inf
+    p = h.counts.astype(object) / h.total
+    ratios = p / (qc.astype(object) / q.total)
+    return math.fsum(pi * math.log(r) for pi, r in zip(p, ratios))
+
+
+def repair_object(h, spec):
+    """repair's fractional and rounded histograms and its cmi_before, cmi_after
+    and kl_divergence, with every ratio taken on object arrays of Python numbers
+    and each group's target rounded from math.fsum."""
+    schema = h.schema
+    (xz, yz, z, xyz), groups = margins_object(h, spec)
+    frac = (h.counts.astype(object) * xz * yz / (z * xyz)).astype(float)
+    fractional = Histogram.from_codes(schema, h.codes, frac, integral=False)
+    floors = np.floor(frac)
+    order = np.lexsort((schema.lex_rank(h.codes), floors - frac, groups.index))
+    group_of = groups.index[order]
+    starts = np.searchsorted(group_of, np.arange(len(groups.codes)))
+    ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]
+    targets = np.array([round(math.fsum(ordered[a:b])) for a, b in zip(bounds, bounds[1:])])
+    short = targets - groups.sum(floors.astype(np.int64))
+    rounded_counts = floors.astype(np.int64)
+    rounded_counts[order] += np.arange(len(order)) - starts[group_of] < short[group_of]
+    rounded = Histogram.from_codes(schema, h.codes, rounded_counts)
+    return fractional, rounded, cmi_object(h, spec), cmi_object(fractional, spec), kl_object(h, fractional)
 
 
 def ladder_histograms(m):

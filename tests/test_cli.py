@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -578,6 +580,58 @@ def test_any_one_malformed_config_field_exits_with_a_code(example, data):
         code = main([*argv, "--out", str(out)])
         assert code in (0, 2, 3, 4)
         if code == 2:
+            assert not out.exists()
+
+
+# Bytes inserted by the input mutations below: NUL, CR, a quote, a BOM, a
+# byte that is never UTF-8, an overflowing number and a NaN.
+INSERTED_BYTES = (b"\0", b"\r", b'"', b"\xef\xbb\xbf", b"\xff", b"1e999", b"nan")
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    """data after 1-4 mutations: a deleted byte, an inserted one or a truncation."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("delete", "insert", "truncate")))
+        at = draw(st.integers(0, len(data)))
+        if kind == "delete":
+            data = data[:at] + data[at + 1 :]
+        elif kind == "insert":
+            data = data[:at] + draw(st.sampled_from(INSERTED_BYTES)) + data[at:]
+        else:
+            data = data[:at]
+    return data
+
+
+def measure_two_files_argv(tmp_path):
+    """measure of the small input against a copy of it."""
+    argv = measure_argv(tmp_path)
+    (tmp_path / "other.csv").write_bytes((tmp_path / "input.csv").read_bytes())
+    argv[2] = str(tmp_path / "other.csv")
+    return argv
+
+
+BYTE_FUZZ = {
+    "repair": (lambda t: repair_argv(t, {"x": "gender", "y": "rating", "z": ["origin"]}), ("input.csv", "schema.json")),
+    "measure": (measure_two_files_argv, ("input.csv", "other.csv", "schema.json")),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BYTE_FUZZ)), st.data())
+def test_mutated_histogram_and_schema_bytes_exit_with_a_code(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        make_argv, targets = BYTE_FUZZ[command]
+        argv = make_argv(tmp_path)
+        target = tmp_path / data.draw(st.sampled_from(targets), label="file")
+        target.write_bytes(data.draw(mutated_bytes(target.read_bytes()), label="bytes"))
+        out, stderr = tmp_path / "out", io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code in (2, 3):
             assert not out.exists()
 
 

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from odrelease.histogram import align
+
 from odrelease import (
     AttributeSchema,
     DataError,
@@ -17,6 +19,7 @@ from odrelease import (
     support_union,
     write_histogram_csv,
 )
+from helpers import align_union1d
 
 
 def two_attr_schema():
@@ -298,6 +301,36 @@ class TestSupportUnion:
         h2 = Histogram(AttributeSchema((("other", ("a",)),)), {("a",): 1})
         with pytest.raises(SchemaError):
             support_union(h1, h2)
+
+
+class TestAlign:
+    """align's merged union against np.union1d, on the edge cases of a merge."""
+
+    @staticmethod
+    def pair(first, second, integral=True):
+        schema = AttributeSchema((("x", ("q", "b", "z", "a", "c", "y")), ("s", ("1", "0"))))
+        keys = [(x, s) for x in schema.domains[0] for s in schema.domains[1]]
+        return tuple(Histogram(schema, {keys[i]: c for i, c in counts.items()}, integral) for counts in (first, second))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pytest.param({}, {}, id="empty-union"),
+            pytest.param({}, {3: 2, 7: 1, 11: 5}, id="empty-reference"),
+            pytest.param({0: 1, 5: 4, 6: 4}, {}, id="empty-other"),
+            pytest.param({0: 3, 2: 1, 4: 2}, {1: 2, 3: 3, 11: 1}, id="disjoint"),
+            pytest.param({8: 1, 9: 1, 10: 1}, {0: 7, 1: 2}, id="disjoint-other-first"),
+            pytest.param({1: 2, 4: 1, 9: 6}, {1: 5, 4: 1, 9: 2}, id="identical-supports"),
+            pytest.param({0: 1, 3: 2, 5: 3, 11: 1}, {3: 1, 4: 4, 11: 2}, id="overlapping"),
+        ],
+    )
+    @pytest.mark.parametrize("integral", [True, False], ids=["int", "frac"])
+    def test_equals_the_union1d_oracle(self, first, second, integral):
+        reference, other = self.pair(first, second, integral)
+        got, want = align(reference, other), align_union1d(reference, other)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestCsv:

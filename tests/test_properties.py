@@ -23,6 +23,7 @@ from odrelease import (
     TaxiConfig,
     bootstrap_distances,
     conditional_mutual_information,
+    kl_divergence,
     group_by,
     hellinger,
     marginalize,
@@ -39,12 +40,16 @@ from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordina
 from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
 
 from helpers import (
+    align_union1d,
+    cmi_object,
+    kl_object,
     largest_remainder_repair,
     privatize_per_bin,
     pwkt_bruteforce,
     pwkt_kernel_lexsort,
     pwkt_lexsort,
     ranking_of,
+    repair_object,
     taxi_preprocess_per_row,
 )
 
@@ -256,6 +261,43 @@ def test_fractional_repair_keeps_marginals_and_kl_equals_cmi(case):
             assert after[key] == pytest.approx(value, rel=1e-12)
     assert result.kl_divergence == pytest.approx(conditional_mutual_information(h, spec), rel=1e-9, abs=1e-12)
     assert result.cmi_after == pytest.approx(0.0, abs=1e-12)
+
+
+# Integer counts up to 4 << shift: margin products below, across and above
+# 2**53, and at the largest shifts totals of 2**53 or more.
+COUNT_SHIFTS = (0, 9, 13, 17, 18, 26, 27, 40, 51, 54)
+
+
+@st.composite
+def scaled_repair_cases(draw):
+    """repair_cases with its support recounted: large integers, or fractional counts."""
+    h, spec = draw(repair_cases())
+    if draw(st.booleans()):
+        high = 4 << draw(st.sampled_from(COUNT_SHIFTS))
+        counts = draw(st.lists(st.integers(1, high), min_size=len(h), max_size=len(h)))
+        return Histogram.from_codes(h.schema, h.codes, counts), spec
+    fractions = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+    counts = draw(st.lists(fractions, min_size=len(h), max_size=len(h)))
+    return Histogram.from_codes(h.schema, h.codes, counts, integral=False), spec
+
+
+def _bits(*values):
+    return [v.counts.tobytes() if isinstance(v, Histogram) else v.hex() for v in values]
+
+
+@property_settings
+@given(scaled_repair_cases())
+def test_repair_cmi_and_kl_equal_the_object_oracles_bit_for_bit(case):
+    h, spec = case
+    result = repair(h, spec)
+    fractional, rounded, cmi_before, cmi_after, kl = repair_object(h, spec)
+    assert _bits(result.fractional, result.rounded, result.cmi_before, result.cmi_after, result.kl_divergence) == (
+        _bits(fractional, rounded, cmi_before, cmi_after, kl)
+    )
+    assert _bits(conditional_mutual_information(h, spec)) == _bits(cmi_object(h, spec))
+    for p, q in ((h, result.rounded), (result.fractional, h), (result.rounded, result.fractional)):
+        if q.total > 0 and p.total > 0:
+            assert _bits(kl_divergence(p, q)) == _bits(kl_object(p, q))
 
 
 @property_settings

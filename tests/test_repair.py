@@ -17,7 +17,7 @@ from odrelease import (
     random_x_baseline,
     repair,
 )
-from helpers import random_full_support_case
+from helpers import random_full_support_case, repair_object
 
 # evaluated by hand: (3/4) ln 1.5 + (1/4) ln 0.5
 WORKED_CMI = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
@@ -202,6 +202,33 @@ class TestRepair:
     def test_empty_errors(self):
         with pytest.raises(EmptyInputError):
             repair(Histogram(xy_schema(), {}), RepairSpec("x", "y"))
+
+
+def outputs(result):
+    """The bits of a repair's histograms and diagnostics."""
+    fractional, rounded, *diagnostics = result
+    return fractional.counts.tobytes(), rounded.counts.tobytes(), [value.hex() for value in diagnostics]
+
+
+class TestRatiosPast2To53:
+    """Integer ratios whose products or totals reach 2**53 are exact; float64
+    products there would round, and these cases would then change bits."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            pytest.param((3145730, 1048585, 1048628, 3145788), id="products-past-2-53"),
+            pytest.param(
+                (2251799813685265, 2251799813685300, 2251799813685264, 2251799813685274), id="total-past-2-53"
+            ),
+        ],
+    )
+    def test_repair_equals_the_object_oracle(self, counts):
+        keys = (("a", "0"), ("a", "1"), ("b", "0"), ("b", "1"))
+        h, spec = Histogram(xy_schema(), dict(zip(keys, counts))), RepairSpec("x", "y")
+        result = repair(h, spec)
+        fields = (result.fractional, result.rounded, result.cmi_before, result.cmi_after, result.kl_divergence)
+        assert outputs(fields) == outputs(repair_object(h, spec))
 
 
 class TestKLDivergence:
