@@ -166,7 +166,8 @@ def kl_divergence(h: Histogram, q: Histogram) -> float:
     if np.any(qc <= 0):
         return math.inf
     p = _quotients((h.counts,), (h.total,), h.integral)
-    return _sum_p_log(p, _quotients((p,), (_quotients((qc,), (q.total,), q.integral),), False))
+    q_p = _quotients((qc,), (q.total,), q.integral)
+    return _sum_p_log(p, _quotients((p,), (q_p,), False))
 
 
 def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") -> FractionalRepairResult:

@@ -3,8 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from odrelease.histogram import align
-
 from odrelease import (
     AttributeSchema,
     DataError,
@@ -19,6 +17,7 @@ from odrelease import (
     support_union,
     write_histogram_csv,
 )
+from odrelease.histogram import align
 from helpers import align_union1d
 
 

@@ -23,9 +23,9 @@ from odrelease import (
     TaxiConfig,
     bootstrap_distances,
     conditional_mutual_information,
-    kl_divergence,
     group_by,
     hellinger,
+    kl_divergence,
     marginalize,
     privatize,
     pwkt,
@@ -40,7 +40,6 @@ from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordina
 from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
 
 from helpers import (
-    align_union1d,
     cmi_object,
     kl_object,
     largest_remainder_repair,
