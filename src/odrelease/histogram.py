@@ -4,7 +4,8 @@ A histogram stores only its active domain (buckets with nonzero count), as
 sorted row-major bucket codes plus counts.  The global domain, the full cross
 product of the attribute domains, lives in the schema and is consulted for
 validation, bucket coding, and the out-of-active-domain machinery in the
-privacy module.  Ties broken by key use lex_rank, never the code order.
+privacy module.  Ties broken by key use lex_rank, never the code order, and
+every (count desc, key asc) order is sorted by one helper, rank_by_count.
 """
 
 from __future__ import annotations
@@ -180,6 +181,24 @@ class AttributeSchema:
         return cls.from_json_obj(json.loads(Path(path).read_text(encoding="utf8")))
 
 
+def rank_by_count(counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
+    """Positions of the counts in (count desc, key asc) order, given the
+    positions in key order.
+
+    One stable sort of the counts taken in key order.  Integer counts sort
+    by max - count, as uint16 while they span less than 2**16, which numpy
+    sorts by radix; float counts sort by -count, which keeps fractions apart.
+    """
+    counts = counts[key_order]
+    if counts.dtype.kind == "f":
+        key = -counts
+    else:
+        key = counts.max(initial=0) - counts
+        if key.max(initial=0) < 2**16:
+            key = key.astype(np.uint16)
+    return key_order[np.argsort(key, kind="stable")]
+
+
 class Histogram:
     """Immutable map from bucket keys to positive counts.
 
@@ -192,17 +211,7 @@ class Histogram:
     __slots__ = ("schema", "integral", "codes", "counts", "total")
 
     def __init__(self, schema: AttributeSchema, counts: Mapping[BucketKey, float], integral: bool = True):
-        codes = schema.encode(counts)
-        values = []
-        for key, value in counts.items():
-            if not -math.inf < value < math.inf:  # NaN fails both comparisons
-                raise DataError(f"non-finite count {value!r} for bucket {tuple(key)!r}")
-            if value < 0:
-                raise DataError(f"negative count {value!r} for bucket {tuple(key)!r}")
-            if integral and int(value) != value:
-                raise DataError(f"non-integer count {value!r} in integer mode")
-            values.append(int(value) if integral else float(value))
-        self._store(schema, codes, values, integral)
+        self._store(schema, schema.encode(counts), list(counts.values()), integral)
 
     @classmethod
     def from_codes(cls, schema: AttributeSchema, codes, counts, integral: bool = True) -> "Histogram":
@@ -212,22 +221,27 @@ class Histogram:
         return h
 
     def _store(self, schema: AttributeSchema, codes: np.ndarray, counts, integral: bool) -> None:
-        if integral and (floats := np.asarray(counts)).dtype.kind == "f":
-            # out of int64 range the cast below would wrap, with a RuntimeWarning, and a fraction truncate
-            if not np.all(np.isfinite(floats)):
-                raise DataError("counts must be finite and nonnegative")
-            if np.any(np.abs(floats) >= _INT64_LIMIT):
-                raise DataError("a count does not fit in a 64-bit integer")
-            if len(fractional := np.flatnonzero(floats != np.trunc(floats))):
-                raise DataError(f"non-integer count {floats[fractional[0]].item()!r} in integer mode")
-        try:
-            counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)
-        except OverflowError:
-            raise DataError("a count does not fit in a 64-bit integer") from None
-        if codes.shape != counts.shape:
-            raise DataError(f"bucket codes of shape {codes.shape} for counts of shape {counts.shape}")
+        given = np.asarray(counts)
+        if codes.shape != given.shape:
+            raise DataError(f"bucket codes of shape {codes.shape} for counts of shape {given.shape}")
         if len(codes) and not 0 <= codes.min() <= codes.max() < schema.global_size:
             raise SchemaError(f"a bucket code is outside [0, {schema.global_size})")
+        try:  # an object array holds Python integers past 64 bits
+            floats = given.astype(np.float64)
+        except OverflowError:  # and past the float range
+            raise DataError("a count does not fit in a 64-bit integer") from None
+        big = given > _INT64_LIMIT - 1 if given.dtype.kind in "biu" else np.abs(floats) >= _INT64_LIMIT
+        faults = {  # a count's faults, in the order it reports them
+            "non-finite count {!r} for bucket {!r}": ~np.isfinite(floats),
+            "a count does not fit in a 64-bit integer": integral & big,
+            "negative count {!r} for bucket {!r}": floats < 0,
+            "non-integer count {!r} in integer mode": integral & (floats != np.trunc(floats)),
+        }
+        if (faulty := np.logical_or.reduce(list(faults.values()))).any():
+            i = int(np.argmax(faulty))  # the first faulty count, named by its first fault
+            fault = next(message for message, mask in faults.items() if mask[i])
+            raise DataError(fault.format(np.asarray(counts, dtype=object)[i], schema.keys_at(codes[i : i + 1])[0]))
+        counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)  # as given: a list's ints exactly
         order = np.argsort(codes)
         codes, counts = codes[order], counts[order]
         if len(repeated := np.flatnonzero(codes[1:] == codes[:-1])):
@@ -235,8 +249,6 @@ class Histogram:
         nonzero = counts != 0
         self.schema, self.integral = schema, integral
         self.codes, self.counts = codes[nonzero], counts[nonzero]
-        if not np.all(np.isfinite(self.counts) & (self.counts > 0)):
-            raise DataError("counts must be finite and nonnegative")
         values = self.counts.tolist()
         self.total = sum(values) if integral else math.fsum(values)
         if integral and self.total >= _INT64_LIMIT:
@@ -287,7 +299,7 @@ class Histogram:
 
     def ranking(self) -> np.ndarray:
         """Bucket positions in (count desc, key lexicographic asc) order."""
-        return np.lexsort((self.schema.lex_rank(self.codes), -self.counts))
+        return rank_by_count(self.counts, np.argsort(self.schema.lex_rank(self.codes)))
 
     def canonical_order(self) -> list[BucketKey]:
         """Buckets sorted by (count desc, key lexicographic asc)."""
@@ -365,12 +377,11 @@ def check_same_schema(h1: Histogram, h2: Histogram) -> None:
         raise SchemaError("histograms have different schemas")
 
 
-def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of the union of both active domains in the reference ranking,
-    (reference count desc, key asc), with each histogram's counts there and
-    the codes' lex_rank."""
-    check_same_schema(reference, other)
-    both = np.concatenate([reference.codes, other.codes])
+def _union(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the union of both active domains, ascending, and each
+    histogram's counts there, 0 where a bucket is not active."""
+    check_same_schema(h1, h2)
+    both = np.concatenate([h1.codes, h2.codes])
     order = np.argsort(both, kind="stable")  # merges the two ascending runs of distinct codes
     merged = both[order]
     first = np.empty(len(merged), dtype=bool)
@@ -378,11 +389,21 @@ def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarra
     first[1:] = merged[1:] != merged[:-1]
     codes, slot = merged[first], np.empty(len(both), dtype=np.int64)
     slot[order] = np.cumsum(first) - 1
-    ref, oth = (np.zeros(len(codes), dtype=h.counts.dtype) for h in (reference, other))
-    ref[slot[: len(reference)]], oth[slot[len(reference) :]] = reference.counts, other.counts
-    key = reference.schema.lex_rank(codes)
-    order = np.lexsort((key, -ref))
-    return codes[order], ref[order], oth[order], key[order]
+    c1, c2 = (np.zeros(len(codes), dtype=h.counts.dtype) for h in (h1, h2))
+    c1[slot[: len(h1)]], c2[slot[len(h1) :]] = h1.counts, h2.counts
+    return codes, c1, c2
+
+
+def align(reference: Histogram, other: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the union of both active domains in the reference ranking,
+    (reference count desc, key asc), with each histogram's counts there and
+    the ranked positions listed in key order."""
+    codes, ref, oth = _union(reference, other)
+    key_order = np.argsort(reference.schema.lex_rank(codes))
+    order = rank_by_count(ref, key_order)
+    ranked = np.empty_like(order)  # each code's position in the ranking
+    ranked[order] = np.arange(len(order))
+    return codes[order], ref[order], oth[order], ranked[key_order]
 
 
 def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:
@@ -392,11 +413,8 @@ def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:
 
 def merge(h1: Histogram, h2: Histogram) -> Histogram:
     """Bucketwise sum of two histograms over the same schema."""
-    check_same_schema(h1, h2)
-    codes, index = np.unique(np.concatenate([h1.codes, h2.codes]), return_inverse=True)
-    counts = np.zeros(len(codes), dtype=np.result_type(h1.counts, h2.counts))
-    np.add.at(counts, index, np.concatenate([h1.counts, h2.counts]))
-    return Histogram.from_codes(h1.schema, codes, counts, integral=h1.integral and h2.integral)
+    codes, c1, c2 = _union(h1, h2)
+    return Histogram.from_codes(h1.schema, codes, c1 + c2, integral=h1.integral and h2.integral)
 
 
 def write_histogram_csv(h: Histogram, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import cpus_available
 from .errors import ConfigError, DataError, EmptyInputError
-from .histogram import Histogram, align, check_same_schema
+from .histogram import Histogram, align, check_same_schema, rank_by_count
 from .parallel import MAX_WORKERS, forked_map
 from .rng import substream
 
@@ -98,31 +98,6 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
     return count[sigma - 1]
 
 
-def _ranking_sigma(other_counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
-    """Positions in the `other` ranking of the items in reference order.
-
-    Both rankings sort by (count descending, key ascending).  The items are
-    given in reference ranking order, so only the other ranking needs
-    sorting; key_order lists them in key order, so one stable sort of the
-    counts taken in that order finishes it.  Integer counts sort by
-    max - count, as uint16 while they span less than 2**16, which numpy
-    sorts by radix; float counts sort by -count, which keeps fractions
-    apart.  sigma is int32 while it can be, which halves the merge's memory
-    traffic.
-    """
-    m = len(other_counts)
-    counts = other_counts[key_order]
-    if counts.dtype.kind == "f":
-        key = -counts
-    else:
-        key = counts.max() - counts
-        if key.max() < 2**16:
-            key = key.astype(np.uint16)
-    sigma = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
-    sigma[key_order[np.argsort(key, kind="stable")]] = np.arange(1, m + 1)
-    return sigma
-
-
 def _exact_sum(values: np.ndarray) -> float:
     """math.fsum(values.tolist()), the correctly rounded sum, for nonnegative finite floats.
 
@@ -155,12 +130,15 @@ def _pwkt_from_vectors(other_counts: np.ndarray, key_order: np.ndarray, weights:
     the total is half the exactly rounded sum of weight times inversion
     participation per position.  Position j (0-based) is inverted with the
     j - L_j earlier larger items and the sigma_j - 1 - L_j later smaller
-    ones, where L_j counts the earlier smaller items.
+    ones, where sigma_j is item j's position in the `other` ranking and L_j
+    counts the earlier smaller items.  sigma is int32 while it can be, which
+    halves the merge's memory traffic.
     """
     m = len(other_counts)
     if m <= 1:
         return 0.0
-    sigma = _ranking_sigma(other_counts, key_order)
+    sigma = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
+    sigma[rank_by_count(other_counts, key_order)] = np.arange(1, m + 1)
     smaller = _smaller_before(sigma).astype(np.int64)
     participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller
     return 0.5 * _exact_sum(weights * participation)
@@ -174,9 +152,8 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     the average of the harmonic weights of its two reference positions, so
     disagreement near the top of the reference ranking dominates.
     """
-    codes, _, other_counts, key_rank = align(reference, other)
-    weights = _position_weights(len(codes), weighting)
-    return _pwkt_from_vectors(other_counts, np.argsort(key_rank), weights)
+    codes, _, other_counts, key_order = align(reference, other)
+    return _pwkt_from_vectors(other_counts, key_order, _position_weights(len(codes), weighting))
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -254,11 +231,9 @@ def bootstrap_distances(
         raise ConfigError(f"need at least 2 replicates, got {replicates!r}")
     resolved = {name: _resolve_metric(metric) for name, metric in metrics.items()}
 
-    order = h.ranking()  # the reference ranking: (count desc, key asc)
-    codes, counts = h.codes[order], h.counts[order].astype(float)
-    total = int(h.total)
+    codes, counts, _, key_order = align(h, h)  # h in its own ranking, (count desc, key asc)
+    counts, total = counts.astype(float), int(h.total)
     probs = counts / counts.sum()
-    key_order = np.argsort(h.schema.lex_rank(codes))
     weights = _position_weights(len(h), "harmonic")
 
     streams = [substream(seed, "bootstrap", r) for r in range(replicates)]

@@ -118,10 +118,13 @@ def _quotients(numerators, denominators, integral: bool) -> np.ndarray:
     products are taken on Python integers.
     """
     factors = (numerators, denominators)
-    num, den = (reduce(np.multiply, [np.asarray(f, dtype=np.float64) for f in fs]) for fs in factors)
+    with np.errstate(over="ignore"):  # a float product past the float range is refused below
+        num, den = (reduce(np.multiply, [np.asarray(f, dtype=np.float64) for f in fs]) for fs in factors)
     if integral and not (np.all(num < _EXACT_INTEGERS) and np.all(den < _EXACT_INTEGERS)):
         num, den = (reduce(operator.mul, [np.asarray(f).astype(object) for f in fs]) for fs in factors)
         return np.asarray(num / den, dtype=np.float64)
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise DataError("counts too large: a product of margins overflows")
     if not np.all(den):  # a float product can underflow to 0, which Python would refuse to divide by
         raise DataError("counts too small: a product of margins underflows to zero")
     return num / den

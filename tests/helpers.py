@@ -176,18 +176,32 @@ def pwkt_kernel_lexsort(other_counts, key_rank, weighting="harmonic"):
 
 def pwkt_lexsort(reference, other, weighting="harmonic"):
     """pwkt through pwkt_kernel_lexsort."""
-    _, _, other_counts, key_rank = align(reference, other)
-    return pwkt_kernel_lexsort(other_counts, key_rank, weighting)
+    _, _, other_counts, key_order = align(reference, other)
+    return pwkt_kernel_lexsort(other_counts, np.argsort(key_order), weighting)
+
+
+def ranking_lexsort(h):
+    """Histogram.ranking through one lexsort of (key, -count)."""
+    return np.lexsort((h.schema.lex_rank(h.codes), -h.counts))
 
 
 def align_union1d(reference, other):
-    """align through np.union1d and counts_at: the union's codes in the reference
-    ranking, each histogram's counts there and the codes' lex_rank."""
+    """align through np.union1d, counts_at and a lexsort: the union's codes in
+    the reference ranking, each histogram's counts there and the ranked
+    positions in key order."""
     codes = np.union1d(reference.codes, other.codes)
     ref, oth = reference.counts_at(codes), other.counts_at(codes)
     key = reference.schema.lex_rank(codes)
     order = np.lexsort((key, -ref))
-    return codes[order], ref[order], oth[order], key[order]
+    return codes[order], ref[order], oth[order], np.argsort(key[order])
+
+
+def merge_unique(h1, h2):
+    """merge through np.unique and np.add.at."""
+    codes, index = np.unique(np.concatenate([h1.codes, h2.codes]), return_inverse=True)
+    counts = np.zeros(len(codes), dtype=np.result_type(h1.counts, h2.counts))
+    np.add.at(counts, index, np.concatenate([h1.counts, h2.counts]))
+    return Histogram.from_codes(h1.schema, codes, counts, integral=h1.integral and h2.integral)
 
 
 def margins_object(h, spec):

@@ -390,6 +390,7 @@ MALFORMED_INPUTS = {
     "nan-count": (lambda t: repair_argv_with_count(t, "nan"), 3),
     "inf-count": (lambda t: repair_argv_with_count(t, "inf"), 3),
     "count-whose-margin-products-underflow": (lambda t: repair_argv_with_count(t, "1e-200"), 3),
+    "count-whose-margin-products-overflow": (lambda t: repair_argv_with_count(t, "1e300"), 3),
     "n-nan": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.nan}), 2),
     "n-fractional": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": 7.5}), 2),
     "n-infinite": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.inf}), 2),

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -111,10 +112,27 @@ class TestHistogramConstruction:
         with pytest.raises(DataError, match="non-finite"):
             Histogram(two_attr_schema(), {("a", "0"): value}, integral=integral)
 
-    @pytest.mark.parametrize("counts", [{("a", "0"): 2**63}, {("a", "0"): 2**62, ("b", "0"): 2**62}])
+    @pytest.mark.parametrize(
+        "counts",
+        [{("a", "0"): 2**63}, {("a", "0"): 2**62, ("b", "0"): 2**62}, {("a", "0"): 2**64}, {("a", "0"): 10**400}],
+    )
     def test_integer_counts_must_fit_int64(self, counts):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="64-bit integer"):
             Histogram(two_attr_schema(), counts)
+
+    @pytest.mark.parametrize(
+        "counts, integral, message",
+        [
+            ({("a", "0"): 2, ("b", "1"): -1, ("c", "0"): math.nan}, True, r"negative count -1 for bucket \('b', '1'\)"),
+            ({("a", "0"): 1.5, ("b", "1"): -1}, True, "non-integer count 1.5 in integer mode"),
+            ({("c", "1"): -math.inf, ("a", "0"): 1.5}, True, r"non-finite count -inf for bucket \('c', '1'\)"),
+            ({("a", "1"): 2.5, ("b", "0"): -1.0}, False, r"negative count -1.0 for bucket \('b', '0'\)"),
+        ],
+        ids=["negative-before-nan", "fraction-before-negative", "non-finite-before-fraction", "fractional-mode"],
+    )
+    def test_the_first_faulty_count_in_input_order_is_named(self, counts, integral, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            Histogram(two_attr_schema(), counts, integral=integral)
 
     @pytest.mark.parametrize("value,message", [(1e307, "does not fit"), (-2.0**63, "does not fit"), (np.nan, "finite")])
     def test_float_counts_are_range_checked_before_the_integer_cast(self, value, message):

@@ -27,6 +27,7 @@ from odrelease import (
     hellinger,
     kl_divergence,
     marginalize,
+    merge,
     privatize,
     pwkt,
     read_histogram_csv,
@@ -36,17 +37,21 @@ from odrelease import (
     write_histogram_csv,
 )
 from odrelease import ingest
+from odrelease.histogram import align
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
 
 from helpers import (
+    align_union1d,
     cmi_object,
     kl_object,
     largest_remainder_repair,
+    merge_unique,
     privatize_per_bin,
     pwkt_bruteforce,
     pwkt_kernel_lexsort,
     pwkt_lexsort,
+    ranking_lexsort,
     ranking_of,
     repair_object,
     taxi_preprocess_per_row,
@@ -141,6 +146,38 @@ def test_pwkt_kernel_equals_the_lexsort_oracle_bit_for_bit(counts, random, weigh
     key_rank = np.array(random.sample(range(10 * len(counts)), len(counts)))
     fast = _pwkt_from_vectors(counts, np.argsort(key_rank), _position_weights(len(counts), weighting))
     assert fast.hex() == pwkt_kernel_lexsort(counts, key_rank, weighting).hex()
+
+
+@st.composite
+def ranked_histogram_pairs(draw):
+    """Two histograms over a schema whose labels are not in lexicographic
+    order, each empty, of one bucket or of any size: whole counts from an
+    offset, spanning less than 2**16 or at least 2**16, or fractional
+    ones, with ties common."""
+    labels = draw(st.integers(1, 20).flatmap(lambda n: st.permutations([f"v{j:02d}" for j in range(n)])))
+    schema = AttributeSchema((("a0", tuple(labels)), ("a1", ("1", "0"))))
+    pair = []
+    for size in draw(st.lists(st.sampled_from([0, 1, None]), min_size=2, max_size=2)):
+        codes = draw(st.lists(st.integers(0, schema.global_size - 1), min_size=size or 0, max_size=size, unique=True))
+        integral = draw(st.booleans())
+        values = [1, 2, 5, 2**16, 2**16 + 1] if integral else [0.5, 1.2, 1.5, 1.7, 3.0]
+        counts = draw(st.lists(st.sampled_from(values), min_size=len(codes), max_size=len(codes)))
+        offset = draw(st.sampled_from([0, 2**16 - 3, 70_000, 2**40])) if integral else 0
+        pair.append(Histogram.from_codes(schema, codes, [offset + c for c in counts], integral=integral))
+    return tuple(pair)
+
+
+@property_settings
+@given(ranked_histogram_pairs())
+def test_ranking_align_and_merge_equal_the_lexsort_and_unique_oracles(pair):
+    reference, other = pair
+    for h in pair:
+        got, want = h.ranking(), ranking_lexsort(h)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(align(reference, other), align_union1d(reference, other), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = merge(reference, other), merge_unique(reference, other)
+    assert got == want and got.counts.dtype == want.counts.dtype and got.counts.tobytes() == want.counts.tobytes()
 
 
 # Nonnegative finite floats, with the edges drawn often: zero, subnormals,
