@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import cpus_available, file_path, finite, flag, labels, mapping, whole
+from .config import cpus_available, file_path, finite, flag, labels, load_json, mapping, whole
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
@@ -62,14 +62,6 @@ PIPELINE_KEYS = ("input", "schema", "synth", "ingest", "repair", "privacy", "ord
 PRIVACY_KEYS = ("epsilon", "rho", "n")
 SYNTH_KEYS = ("generate_od", "od_seed", "od_schema", "trips", "mode", "rating_distribution",
               "rating_distributions", "seed", "gender_domain", "rating_domain")
-
-
-def _load_json(path):
-    """The JSON value in the config or schema file at path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
-        raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 
 def _write_outputs(out_dir, files: Mapping[str, object]) -> None:
@@ -185,7 +177,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return cls.from_json_obj(_load_json(path), base_dir=Path(path).parent)
+        return cls.from_json_obj(load_json(path), base_dir=Path(path).parent)
 
 
 _GENERATE_OD = {"n_neighborhoods": whole, "n_pairs": whole, "total": whole, "seed": whole, "skew": finite,
@@ -201,7 +193,7 @@ def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> Syn
     elif obj.get("od_seed") is not None:
         od_schema = file_path(obj.get("od_schema"), "synth.od_schema", base_dir)
         od = read_histogram_csv(file_path(obj["od_seed"], "synth.od_seed", base_dir),
-                                AttributeSchema.from_json_obj(_load_json(od_schema)))
+                                AttributeSchema.load(od_schema))
     else:
         raise ConfigError("synth config needs od_seed or generate_od")
     domains = {key: labels(obj[key], f"synth.{key}") for key in ("gender_domain", "rating_domain") if key in obj}
@@ -228,11 +220,9 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
             raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
         listed = "".join(text_lines(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
         obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
-    config = BikeConfig.from_json_obj(obj)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
-        trips, riders = (csv.DictReader(text_lines(path)) for path in (trips_path, riders_path))
-        result = bike_preprocess(trips, riders, config)
+        result = bike_preprocess(trips_path, riders_path, BikeConfig.from_json_obj(obj))
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return result
@@ -240,7 +230,7 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
 
 def _load_pipeline_input(cfg: PipelineConfig) -> Histogram:
     if cfg.input_path is not None:
-        return read_histogram_csv(cfg.input_path, AttributeSchema.from_json_obj(_load_json(cfg.schema_path)))
+        return read_histogram_csv(cfg.input_path, AttributeSchema.load(cfg.schema_path))
     if cfg.synth is not None:
         return synth_generate(_build_synth_config(cfg.synth, cfg.base_dir))
     return _run_ingest(cfg.ingest, cfg.base_dir).histogram
@@ -347,7 +337,7 @@ def run_measure(
     write_replicates: bool = False,
 ) -> DistanceReport:
     """Distance report between two histogram files over one schema."""
-    schema = AttributeSchema.from_json_obj(_load_json(schema_path))
+    schema = AttributeSchema.load(schema_path)
     reference = read_histogram_csv(reference_path, schema)
     other = read_histogram_csv(other_path, schema)
     distances = bootstrap_distances(reference, {"pwkt": "pwkt", "hellinger": "hellinger"}, replicates, seed)
@@ -416,7 +406,7 @@ def run_sweep(
 
 
 def _cmd_ingest(args) -> int:
-    result = _run_ingest(_load_json(args.config), base_dir=Path(args.config).parent)
+    result = _run_ingest(load_json(args.config), base_dir=Path(args.config).parent)
     _write_outputs(args.out, {
         "schema.json": result.histogram.schema,
         "histogram.csv": result.histogram,
@@ -426,7 +416,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    obj = mapping(_load_json(args.config), "synth")
+    obj = mapping(load_json(args.config), "synth")
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
     h = synth_generate(_build_synth_config(obj, base_dir=Path(args.config).parent))
@@ -435,8 +425,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    spec = _parse_repair(_load_json(args.config))
-    h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
+    spec = _parse_repair(load_json(args.config))
+    h = read_histogram_csv(args.input, AttributeSchema.load(args.schema))
     result = repair(h, spec, rounding=args.rounding)
     _write_outputs(args.out, {"repaired.csv": result.rounded, "fractional.csv": result.fractional,
                               "repair_report.json": _repair_report(result, h.total)})
@@ -444,10 +434,10 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_privatize(args) -> int:
-    obj = _load_json(args.config)
+    obj = load_json(args.config)
     privacy = _parse_privacy(obj, (*PRIVACY_KEYS, "seed"))
     seed = args.seed if args.seed is not None else whole(obj.get("seed", 0), "seed")
-    h = read_histogram_csv(args.input, AttributeSchema.from_json_obj(_load_json(args.schema)))
+    h = read_histogram_csv(args.input, AttributeSchema.load(args.schema))
     params = PrivacyParams.for_histogram(h, **privacy)
     result = privatize(h, params, seed)
     _write_outputs(args.out, {"released.csv": result.histogram, "release_report.json": _release_report(result, params)})

@@ -1,10 +1,12 @@
 """The one set of typed readers for JSON config values: each returns a value in
 the type the program uses, or raises a ConfigError naming the dotted field.  A
 missing field reads as None.  A JSON boolean is never read as a number.
-cpus_available is the one reading of the machine a run works on."""
+load_json is the one reader of config and schema files, and cpus_available
+the one reading of the machine a run works on."""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -67,6 +69,14 @@ def mapping(value, what: str, keys=None) -> Mapping:
     if unknown:
         raise ConfigError(f"{what}: unknown keys {unknown}; expected only {list(keys)}")
     return value
+
+
+def load_json(path):
+    """The JSON value in the config or schema file at path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 
 def cpus_available() -> int:

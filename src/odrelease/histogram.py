@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import load_json
 from .errors import DataError, EmptyInputError, SchemaError
 
 BucketKey = tuple[str, ...]
@@ -178,7 +179,7 @@ class AttributeSchema:
 
     @classmethod
     def load(cls, path) -> "AttributeSchema":
-        return cls.from_json_obj(json.loads(Path(path).read_text(encoding="utf8")))
+        return cls.from_json_obj(load_json(path))
 
 
 def rank_by_count(counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
@@ -250,7 +251,10 @@ class Histogram:
         self.schema, self.integral = schema, integral
         self.codes, self.counts = codes[nonzero], counts[nonzero]
         values = self.counts.tolist()
-        self.total = sum(values) if integral else math.fsum(values)
+        try:
+            self.total = sum(values) if integral else math.fsum(values)
+        except OverflowError:  # fractional counts whose total is past the float range
+            raise DataError("fractional counts total more than a float holds") from None
         if integral and self.total >= _INT64_LIMIT:
             raise DataError(f"integer counts total {self.total}, more than a 64-bit integer holds")
         self.codes.flags.writeable = self.counts.flags.writeable = False

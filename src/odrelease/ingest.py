@@ -16,14 +16,14 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import cpus_available, finite, labels, mapping, numbers, text_map
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, BucketKey, Histogram
+from .histogram import AttributeSchema, Histogram
 from .parallel import MAX_WORKERS, forked_map
 from .rng import substream
 
@@ -286,34 +286,59 @@ def _taxi_schema(config: TaxiConfig) -> AttributeSchema:
 
 
 class _TaxiScan(NamedTuple):
-    """What one run of the block scanner keeps of its rows: the counts, and per
-    retained row its bucket code without dist and freq, its distance and the
-    position of its driver in `drivers`."""
+    """What one run of the block scanner keeps of its rows: their counts, and
+    per retained row its bucket code without dist and freq, its distance and
+    the position of its driver in `drivers`."""
 
-    rows: int
-    dropped_missing: int
-    dropped_filtered: int
-    malformed: int
+    stats: IngestStats
     codes: np.ndarray  # int64
     distance: np.ndarray  # float64
     driver: np.ndarray  # int32
     drivers: list[str]
 
 
+def _rows(records, names: Sequence[str]) -> tuple[Iterator[Sequence[str]], Sequence[str]]:
+    """The rows of records and their header: those of the UTF-8 CSV at records
+    when it is a path, else per mapping its values under names, by rec.get."""
+    if isinstance(records, (str, os.PathLike)):
+        rows = csv.reader(text_lines(records))
+        return rows, next(rows, [])
+    return ([rec.get(name) or "" for name in names] for rec in records), names
+
+
+def _blocks(rows: Iterator[Sequence[str]], header: Sequence[str], names: Sequence[str]) -> Iterator[list[list[str]]]:
+    """Per block of up to _BLOCK_ROWS rows, CSV rows under header, the stripped
+    fields under each of names.  Each column is found by header index: the last
+    duplicate header wins, a short row reads empty past its end, blank rows are
+    skipped and extra fields ignored.  A column the header lacks reads empty."""
+    index = {name: i for i, name in enumerate(header)}
+    found = [name for name in names if name in index]
+    width = 1 + max((index[name] for name in found), default=-1)
+    while raw := list(itertools.islice(rows, _BLOCK_ROWS)):
+        block = [row for row in raw if row]
+        if min(map(len, block), default=width) < width:
+            pad = [""] * width
+            block = [row if len(row) >= width else row + pad[len(row) :] for row in block]
+        stripped = {name: list(map(str.strip, map(operator.itemgetter(index[name]), block))) for name in found}
+        yield [stripped.get(name) or [""] * len(block) for name in names]
+
+
+def _checked(stats: IngestStats, kind: str) -> IngestStats:
+    """stats, unless over half the rows it counts are malformed or it retains none."""
+    if stats.rows and stats.malformed > 0.5 * stats.rows:
+        raise DataError(f"{stats.malformed} of {stats.rows} rows malformed; refusing to continue")
+    if not stats.retained:
+        raise EmptyInputError(f"no {kind} trips survived preprocessing")
+    return stats
+
+
 def _scan_taxi(
     lines: Iterator[Sequence[str]], header: Sequence[str], config: TaxiConfig, schema: AttributeSchema
 ) -> _TaxiScan:
     """Check, count and code the taxi rows of lines, CSV rows under header, a
-    block at a time.  Each role's column is found by header index: the last
-    duplicate header wins, a short row reads empty past its end, blank rows
-    are skipped and extra fields ignored.  A column the header lacks reads empty."""
-    cols = config.columns
+    block at a time, each role's column found by _blocks."""
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
-    roles, names = list(cols), list(cols.values())
-    index = {name: i for i, name in enumerate(header)}
-    found = [name for name in names if name in index]
-    width = 1 + max((index[name] for name in found), default=-1)
     strides = schema.strides.tolist()
     origins = [_tenths(lon_min), _tenths(lat_min), _tenths(lon_min), _tenths(lat_min)]
 
@@ -321,15 +346,9 @@ def _scan_taxi(
     drivers: dict[str, int] = {}
     dates: dict[int, bool] = {}
     kept = []  # per block: the retained rows' codes without dist and freq, distances, driver positions
-    while raw := list(itertools.islice(lines, _BLOCK_ROWS)):
-        block_rows = [row for row in raw if row]
-        if min(map(len, block_rows), default=width) < width:
-            pad = [""] * width
-            block_rows = [row if len(row) >= width else row + pad[len(row) :] for row in block_rows]
-        n = len(block_rows)
-        stripped = {name: list(map(str.strip, map(operator.itemgetter(index[name]), block_rows))) for name in found}
-        block = [stripped.get(name) or [""] * n for name in names]
-        column = dict(zip(roles, block))
+    for block in _blocks(lines, header, list(config.columns.values())):
+        n = len(block[0])
+        column = dict(zip(config.columns, block))
         present = np.ones(n, dtype=bool)
         for values in block:
             present[_empty_positions(values)] = False
@@ -357,23 +376,19 @@ def _scan_taxi(
     codes, distance, driver = [np.concatenate(parts) for parts in zip(*kept)] or [
         np.zeros(0, dtype=dtype) for dtype in (np.int64, np.float64, np.int32)
     ]
-    return _TaxiScan(rows, dropped_missing, dropped_filtered, malformed, codes, distance, driver, list(drivers))
+    stats = IngestStats(rows, len(codes), dropped_missing, dropped_filtered, malformed)
+    return _TaxiScan(stats, codes, distance, driver, list(drivers))
 
 
 def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestResult:
     """The histogram of the scans' retained rows, once their drivers and
     distances are put together, and their summed counts."""
-    rows, dropped_missing, dropped_filtered, malformed = (sum(counts) for counts in zip(*(s[:4] for s in scans)))
-    if rows and malformed > 0.5 * rows:
-        raise DataError(f"{malformed} of {rows} rows malformed; refusing to continue")
+    stats = _checked(IngestStats(*map(sum, zip(*(astuple(scan.stats) for scan in scans)))), "taxi")
     drivers: dict[str, int] = {}
     driver = np.concatenate(
         [np.array([drivers.setdefault(d, len(drivers)) for d in scan.drivers], dtype=np.int64)[scan.driver]
          for scan in scans]
     )
-    if not drivers:
-        raise EmptyInputError("no taxi trips survived preprocessing")
-
     distance = np.concatenate([scan.distance for scan in scans])
     ordered = np.sort(distance)
     t1, t2 = ordered[math.ceil(len(ordered) / 3) - 1], ordered[math.ceil(2 * len(ordered) / 3) - 1]
@@ -383,7 +398,6 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
     dist = (distance > t1).astype(np.int64) + (distance > t2)  # low, medium, high
     codes = np.concatenate([scan.codes for scan in scans])
     codes += dist * schema.strides[5] + frequency[driver] * schema.strides[7]
-    stats = IngestStats(rows, len(codes), dropped_missing, dropped_filtered, malformed)
     return IngestResult(Histogram.from_codes(schema, *np.unique(codes, return_counts=True)), stats)
 
 
@@ -483,9 +497,7 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     schema = _taxi_schema(config)
     if isinstance(records, (str, os.PathLike)):
         return _taxi_result(_scan_taxi_csv(records, config, schema), schema)
-    names = list(config.columns.values())
-    rows = ([rec.get(name) or "" for name in names] for rec in records)
-    return _taxi_result([_scan_taxi(rows, names, config, schema)], schema)
+    return _taxi_result([_scan_taxi(*_rows(records, list(config.columns.values())), config, schema)], schema)
 
 
 @dataclass(frozen=True)
@@ -525,79 +537,19 @@ class BikeConfig:
 
 
 def bike_preprocess(
-    trips: Iterable[Mapping[str, str]],
-    riders: Iterable[Mapping[str, str]],
+    trips: Iterable[Mapping[str, str]] | str | os.PathLike,
+    riders: Iterable[Mapping[str, str]] | str | os.PathLike,
     config: BikeConfig,
 ) -> IngestResult:
     """Join trips with rider survey attributes and bucketize.
 
-    Trips whose rider id is absent from the survey are dropped and counted.
-    If some company's joined gender column is a single constant value, a
-    data-quality warning is emitted (a symptom of per-company default values
-    flowing in upstream).
+    trips and riders are each the path of a UTF-8 CSV or an iterable of
+    mappings, read as by taxi_preprocess.  A rider row missing a field is
+    skipped; a later row of a rider id replaces an earlier one.  Trips whose
+    rider id is absent from the survey are dropped and counted.  If some
+    company's joined gender column is a single constant value, a data-quality
+    warning is emitted (a symptom of per-company default values upstream).
     """
-    tcols, rcols = config.trip_columns, config.rider_columns
-    survey: dict[str, tuple[str, str]] = {}
-    for rec in riders:
-        rid = (rec.get(rcols["rider_id"]) or "").strip()
-        gender = (rec.get(rcols["gender"]) or "").strip()
-        helmet = (rec.get(rcols["helmet"]) or "").strip()
-        if rid and gender and helmet:
-            survey[rid] = (gender, helmet)
-
-    nhoods = set(config.neighborhoods)
-    companies = set(config.companies)
-    genders = set(config.genders)
-    helmets = set(config.helmet_values)
-
-    rows = malformed = dropped_missing = dropped_filtered = 0
-    counts: dict[BucketKey, int] = {}
-    genders_by_company: dict[str, set[str]] = {}
-    for rec in trips:
-        rows += 1
-        raw = {role: (rec.get(col) or "").strip() for role, col in tcols.items()}
-        if any(not raw[role] for role in tcols):
-            dropped_missing += 1
-            continue
-        if raw["rider_id"] not in survey:
-            dropped_filtered += 1
-            continue
-        gender, helmet = survey[raw["rider_id"]]
-        try:
-            bucket_time = time_bucket(raw["time"])
-        except DataError:
-            malformed += 1
-            continue
-        if (
-            raw["start"] not in nhoods
-            or raw["end"] not in nhoods
-            or raw["company"] not in companies
-            or gender not in genders
-            or helmet not in helmets
-        ):
-            malformed += 1
-            continue
-        key = (raw["start"], raw["end"], bucket_time, helmet, raw["company"], gender)
-        counts[key] = counts.get(key, 0) + 1
-        genders_by_company.setdefault(raw["company"], set()).add(gender)
-
-    if rows and malformed > 0.5 * rows:
-        raise DataError(f"{malformed} of {rows} rows malformed; refusing to continue")
-    if not counts:
-        raise EmptyInputError("no bike trips survived preprocessing")
-
-    warn_messages = []
-    if len(genders_by_company) > 1:
-        for company in sorted(genders_by_company):
-            seen = genders_by_company[company]
-            if len(seen) == 1:
-                msg = (
-                    f"company {company!r} reports a single constant gender value "
-                    f"({next(iter(seen))!r}); suspect a default value in the source data"
-                )
-                warn_messages.append(msg)
-                warnings.warn(msg)
-
     schema = AttributeSchema(
         (
             ("start_nhood", config.neighborhoods),
@@ -608,9 +560,44 @@ def bike_preprocess(
             ("gender", config.genders),
         )
     )
-    retained = sum(counts.values())
-    stats = IngestStats(rows, retained, dropped_missing, dropped_filtered, malformed)
-    return IngestResult(Histogram(schema, counts), stats, tuple(warn_messages))
+    rider_names = [config.rider_columns[role] for role in ("rider_id", "helmet", "gender")]
+    survey = {}  # rider id: helmet, gender
+    for block in _blocks(*_rows(riders, rider_names), rider_names):
+        survey.update((rider, answers) for rider, *answers in zip(*block) if rider and all(answers))
+
+    trip_names = [config.trip_columns[role] for role in ("rider_id", "start", "end", "time", "company")]
+    domains = [set(domain) for domain in schema.domains]
+    rows = dropped_missing = dropped_filtered = 0
+    keys = []
+    for block in _blocks(*_rows(trips, trip_names), trip_names):
+        rows += len(block[0])
+        for rider, start, end, time, company in zip(*block):
+            if not (rider and start and end and time and company):
+                dropped_missing += 1
+            elif rider not in survey:
+                dropped_filtered += 1
+            else:
+                helmet, gender = survey[rider]
+                try:
+                    key = (start, end, time_bucket(time), helmet, company, gender)
+                except DataError:
+                    continue  # malformed
+                if all(map(operator.contains, domains, key)):
+                    keys.append(key)
+    malformed = rows - len(keys) - dropped_missing - dropped_filtered
+    stats = _checked(IngestStats(rows, len(keys), dropped_missing, dropped_filtered, malformed), "bike")
+    histogram = Histogram.from_codes(schema, *np.unique(schema.encode(keys), return_counts=True))
+
+    pairs = sorted({key[4:] for key in histogram.keys()})  # each (company, gender) of a retained trip
+    companies = [company for company, _ in pairs]
+    warn_messages = tuple(
+        f"company {company!r} reports a single constant gender value ({gender!r}); "
+        "suspect a default value in the source data"
+        for company, gender in pairs if len(set(companies)) > 1 and companies.count(company) == 1
+    )
+    for msg in warn_messages:
+        warnings.warn(msg)
+    return IngestResult(histogram, stats, warn_messages)
 
 
 def _check_distribution(dist: Sequence[float], size: int, what: str) -> tuple[float, ...]:

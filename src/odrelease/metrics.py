@@ -61,6 +61,8 @@ class DistanceReport:
 
 def percentile(values, pct: float) -> float:
     """Percentile with linear interpolation at rank 1 + pct/100 * (m - 1)."""
+    if not np.size(values):
+        raise EmptyInputError("percentile of an empty collection")
     return float(np.percentile(np.asarray(values, dtype=float), pct))
 
 

@@ -15,6 +15,7 @@ out-of-active-domain bin at all:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,10 +49,12 @@ def threshold(n: int, rho: float, epsilon: float) -> float:
     Raises if the derived threshold is negative, since the spurious-bin
     probability exp(-epsilon*tau)/2 is only the Laplace tail for tau >= 0.
     """
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n!r}")
+    if not 1 <= n <= sys.float_info.max:
+        raise ConfigError(f"n must be at least 1 and within the float range, got {n!r}")
     _check_rho_epsilon(rho, epsilon)
     one_minus = -math.expm1(math.log(rho) / n)
+    if one_minus == 0:
+        raise ConfigError(f"n {n!r} is so large that 1 - rho**(1/n) rounds to 0")
     tau = -math.log(2.0 * one_minus) / epsilon
     if tau < 0:
         raise ConfigError(
@@ -64,9 +67,13 @@ def threshold(n: int, rho: float, epsilon: float) -> float:
 def domain_size_for_threshold(tau: float, rho: float, epsilon: float) -> float:
     """Inverse of threshold() in n: the unseen-bin count that yields tau."""
     _check_rho_epsilon(rho, epsilon)
-    if tau < 0:
+    if not tau >= 0:
         raise ConfigError(f"tau must be nonnegative, got {tau!r}")
-    return math.log(rho) / math.log1p(-0.5 * math.exp(-epsilon * tau))
+    tail = math.log1p(-0.5 * math.exp(-epsilon * tau))
+    n = math.log(rho) / tail if tail else math.inf
+    if not math.isfinite(n):
+        raise ConfigError(f"tau {tau!r} is so large that its unseen-bin count is past the float range")
+    return n
 
 
 @dataclass(frozen=True)

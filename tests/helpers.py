@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 
@@ -378,3 +379,83 @@ def taxi_preprocess_per_row(records, config):
 
     stats = IngestStats(rows, len(trips), dropped_missing, dropped_filtered, malformed)
     return IngestResult(Histogram(schema, counts), stats)
+
+
+def bike_preprocess_per_row(trips, riders, config):
+    """bike_preprocess one record at a time: a dict of stripped values per trip,
+    and per company the set of its retained trips' genders."""
+    tcols, rcols = config.trip_columns, config.rider_columns
+    survey = {}
+    for rec in riders:
+        rid = (rec.get(rcols["rider_id"]) or "").strip()
+        gender = (rec.get(rcols["gender"]) or "").strip()
+        helmet = (rec.get(rcols["helmet"]) or "").strip()
+        if rid and gender and helmet:
+            survey[rid] = (gender, helmet)
+
+    nhoods = set(config.neighborhoods)
+    companies = set(config.companies)
+    genders = set(config.genders)
+    helmets = set(config.helmet_values)
+
+    rows = malformed = dropped_missing = dropped_filtered = 0
+    counts = {}
+    genders_by_company = {}
+    for rec in trips:
+        rows += 1
+        raw = {role: (rec.get(col) or "").strip() for role, col in tcols.items()}
+        if any(not raw[role] for role in tcols):
+            dropped_missing += 1
+            continue
+        if raw["rider_id"] not in survey:
+            dropped_filtered += 1
+            continue
+        gender, helmet = survey[raw["rider_id"]]
+        try:
+            bucket_time = time_bucket(raw["time"])
+        except DataError:
+            malformed += 1
+            continue
+        if (
+            raw["start"] not in nhoods
+            or raw["end"] not in nhoods
+            or raw["company"] not in companies
+            or gender not in genders
+            or helmet not in helmets
+        ):
+            malformed += 1
+            continue
+        key = (raw["start"], raw["end"], bucket_time, helmet, raw["company"], gender)
+        counts[key] = counts.get(key, 0) + 1
+        genders_by_company.setdefault(raw["company"], set()).add(gender)
+
+    if rows and malformed > 0.5 * rows:
+        raise DataError(f"{malformed} of {rows} rows malformed; refusing to continue")
+    if not counts:
+        raise EmptyInputError("no bike trips survived preprocessing")
+
+    warn_messages = []
+    if len(genders_by_company) > 1:
+        for company in sorted(genders_by_company):
+            seen = genders_by_company[company]
+            if len(seen) == 1:
+                msg = (
+                    f"company {company!r} reports a single constant gender value "
+                    f"({next(iter(seen))!r}); suspect a default value in the source data"
+                )
+                warn_messages.append(msg)
+                warnings.warn(msg)
+
+    schema = AttributeSchema(
+        (
+            ("start_nhood", config.neighborhoods),
+            ("end_nhood", config.neighborhoods),
+            ("time_of_day", TIME_BUCKETS),
+            ("helmet", config.helmet_values),
+            ("company", config.companies),
+            ("gender", config.genders),
+        )
+    )
+    retained = sum(counts.values())
+    stats = IngestStats(rows, retained, dropped_missing, dropped_filtered, malformed)
+    return IngestResult(Histogram(schema, counts), stats, tuple(warn_messages))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from odrelease import (
     read_histogram_csv,
     write_histogram_csv,
 )
-from odrelease import cli, metrics
+from odrelease import cli, ingest, metrics
 from odrelease.cli import PipelineConfig, main, run_measure, run_release, run_sweep
 from helpers import assert_no_child_left, recording_pids
 
@@ -320,9 +321,9 @@ def repair_argv(tmp_path, spec):
     ]
 
 
-def with_input_count(tmp_path, argv, raw):
-    """argv, after replacing the small input with one holding the count `raw`."""
-    (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,3\n")
+def with_input_count(tmp_path, argv, raw, other="3"):
+    """argv, after replacing the small input with one holding the counts `raw` and `other`."""
+    (tmp_path / "input.csv").write_text(f"origin,gender,rating,count\no1,m,1,{raw}\no2,f,2,{other}\n")
     return argv
 
 
@@ -391,6 +392,7 @@ MALFORMED_INPUTS = {
     "inf-count": (lambda t: repair_argv_with_count(t, "inf"), 3),
     "count-whose-margin-products-underflow": (lambda t: repair_argv_with_count(t, "1e-200"), 3),
     "count-whose-margin-products-overflow": (lambda t: repair_argv_with_count(t, "1e300"), 3),
+    "counts-whose-total-overflows": (lambda t: with_input_count(t, measure_argv(t), "1.7e308", "1.7e308"), 3),
     "n-nan": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.nan}), 2),
     "n-fractional": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": 7.5}), 2),
     "n-infinite": (lambda t: release_argv(t, privacy={"epsilon": 1.0, "rho": 0.9, "n": math.inf}), 2),
@@ -613,16 +615,29 @@ def measure_two_files_argv(tmp_path):
     return argv
 
 
+def taxi_trips_argv(tmp_path):
+    """A taxi ingest of six valid trips by three drivers."""
+    argv = taxi_config_argv(tmp_path)
+    header, trip = (tmp_path / "trips.csv").read_text().splitlines()
+    (tmp_path / "trips.csv").write_text("\n".join([header, *(trip.replace("d1", f"d{i % 3}") for i in range(6))]) + "\n")
+    return argv
+
+
 BYTE_FUZZ = {
     "repair": (lambda t: repair_argv(t, {"x": "gender", "y": "rating", "z": ["origin"]}), ("input.csv", "schema.json")),
     "measure": (measure_two_files_argv, ("input.csv", "other.csv", "schema.json")),
+    "ingest-taxi": (taxi_trips_argv, ("trips.csv",)),
+    "ingest-bike": (bike_ingest_argv, ("trips.csv", "riders.csv")),
+    "ingest-bike-file": (bike_file_ingest_argv, ("nhoods.txt",)),
 }
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.sampled_from(sorted(BYTE_FUZZ)), st.data())
-def test_mutated_histogram_and_schema_bytes_exit_with_a_code(command, data):
-    with tempfile.TemporaryDirectory() as tmp:
+def test_mutated_input_file_bytes_exit_with_a_code(command, data):
+    """Each taxi trips CSV is read in byte ranges, whatever its size, in workers forked as for a large file."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(ingest, "cpus_available", lambda: 3):
         tmp_path = Path(tmp)
         make_argv, targets = BYTE_FUZZ[command]
         argv = make_argv(tmp_path)

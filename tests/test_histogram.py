@@ -6,6 +6,7 @@ import pytest
 
 from odrelease import (
     AttributeSchema,
+    ConfigError,
     DataError,
     EmptyInputError,
     Histogram,
@@ -91,6 +92,12 @@ class TestSchema:
         schema = two_attr_schema()
         schema.save(tmp_path / "schema.json")
         assert AttributeSchema.load(tmp_path / "schema.json") == schema
+
+    @pytest.mark.parametrize("data", [b'{"attributes": [', b'{"attributes": []}\xff', b"[" * 100_000])
+    def test_a_schema_file_that_is_not_utf8_json_is_a_config_error(self, tmp_path, data):
+        (tmp_path / "schema.json").write_bytes(data)
+        with pytest.raises(ConfigError, match="is not UTF-8 JSON"):
+            AttributeSchema.load(tmp_path / "schema.json")
 
 
 class TestHistogramConstruction:

@@ -7,6 +7,7 @@ from odrelease import (
     AttributeSchema,
     ConfigError,
     DataError,
+    EmptyInputError,
     Histogram,
     PrivacyParams,
     binomial_sample,
@@ -14,6 +15,7 @@ from odrelease import (
     domain_size_for_threshold,
     exponential_sample,
     laplace_sample,
+    percentile,
     privatize,
     substream,
     threshold,
@@ -25,6 +27,16 @@ TAU_1E6 = 15.372730757397031
 
 def small_schema(n_labels=6):
     return AttributeSchema((("x", tuple(f"v{i}" for i in range(n_labels))),))
+
+
+@pytest.mark.parametrize("fn,args,error", [
+    (percentile, ([], 50), EmptyInputError),
+    (threshold, (10**400, 0.5, 1.0), ConfigError),
+    (domain_size_for_threshold, (math.inf, 0.5, 1.0), ConfigError),
+])
+def test_extreme_arguments_raise_typed_errors(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 class TestThreshold:

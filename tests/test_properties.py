@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from odrelease import (
     AttributeSchema,
+    BikeConfig,
     DataError,
     EmptyInputError,
     Histogram,
     PrivacyParams,
     RepairSpec,
     TaxiConfig,
+    bike_preprocess,
     bootstrap_distances,
     conditional_mutual_information,
     group_by,
@@ -43,6 +46,7 @@ from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors,
 
 from helpers import (
     align_union1d,
+    bike_preprocess_per_row,
     cmi_object,
     kl_object,
     largest_remainder_repair,
@@ -454,21 +458,22 @@ SPOILED_FIELDS = {
 
 
 @st.composite
-def taxi_csvs(draw):
-    """CSV text of rows with 0-2 fields spoiled (empty, padded, out of range
-    or malformed), short and long rows, blank lines, and sometimes a
-    duplicate or a missing header column."""
-    header = list(TAXI_HEADER)
+def csv_texts(draw, names, fields, spoiled):
+    """CSV text under a header of names, of rows drawn from `fields` with 0-2
+    fields spoiled (empty, padded, or drawn from `spoiled`: out of range or
+    malformed), short and long rows, blank lines, and sometimes a duplicate,
+    a missing or an extra header column."""
+    header = list(names)
     shape = draw(st.sampled_from(["plain", "plain", "duplicate", "missing", "extra"]))
     if shape == "duplicate":  # the later column of the name wins
-        header.append(draw(st.sampled_from(TAXI_HEADER)))
+        header.append(draw(st.sampled_from(names)))
     elif shape == "missing":
-        header.remove(draw(st.sampled_from(TAXI_HEADER)))
+        header.remove(draw(st.sampled_from(names)))
     elif shape == "extra":
         header.insert(draw(st.integers(0, len(header))), "vendor_id")
     lines = [header]
     for _ in range(draw(st.integers(0, 12))):
-        row = [draw(FIELDS.get(name, st.just("x"))) for name in header]
+        row = [draw(fields.get(name, st.just("x"))) for name in header]
         for _ in range(draw(st.integers(0, 2))):
             i = draw(st.integers(0, len(row) - 1))
             how = draw(st.sampled_from(["empty", "padded", "other"]))
@@ -477,7 +482,7 @@ def taxi_csvs(draw):
             elif how == "padded":
                 row[i] = f" {row[i]}\t"
             else:
-                row[i] = draw(SPOILED_FIELDS.get(header[i], st.just("y")))
+                row[i] = draw(spoiled.get(header[i], st.just("y")))
         kind = draw(st.sampled_from(["full"] * 6 + ["short", "long", "blank"]))
         if kind == "short":
             row = row[: draw(st.integers(1, len(row) - 1))]
@@ -492,6 +497,10 @@ def taxi_csvs(draw):
         else:
             out.write("\r\n")
     return out.getvalue()
+
+
+def taxi_csvs():
+    return csv_texts(TAXI_HEADER, FIELDS, SPOILED_FIELDS)
 
 
 def _ingest(preprocess, records):
@@ -579,3 +588,62 @@ def test_columnar_taxi_ingest_equals_the_per_row_oracle_across_blocks():
             row[spoil] = rng.choice(["", "nan", "x", "2013-13-01 00:00:00"])
         writer.writerow(row)
     assert_same_ingest(out.getvalue())
+
+
+BIKE_CONFIG = BikeConfig(neighborhoods=("Ballard", "Fremont", "Downtown"), companies=("A", "B"))
+RIDER_IDS = st.sampled_from(["r0", "r1", "r2", "r3"])  # few, so riders repeat
+NHOODS = st.sampled_from(BIKE_CONFIG.neighborhoods)
+BIKE_TRIP_FIELDS = {
+    "rider_id": RIDER_IDS,
+    "start_nhood": NHOODS,
+    "end_nhood": NHOODS,
+    "start_time": st.one_of(VALID_TIMES, st.sampled_from(["08:00", "18:30", "04:59:59"])),
+    "company": st.sampled_from(BIKE_CONFIG.companies),
+}
+SPOILED_BIKE_TRIP_FIELDS = {  # an unknown rider, a label outside its domain or a time that may not parse
+    "rider_id": st.sampled_from(["ghost", "R1"]),
+    "start_nhood": st.sampled_from(["Atlantis", "ballard"]),
+    "end_nhood": st.just("Atlantis"),
+    "start_time": st.one_of(strict_times_with_an_edge(), OTHER_TIMES),
+    "company": st.just("C"),
+}
+RIDER_FIELDS = {"rider_id": RIDER_IDS, "gender": st.sampled_from(BIKE_CONFIG.genders),
+                "helmet": st.sampled_from(BIKE_CONFIG.helmet_values)}
+SPOILED_RIDER_FIELDS = {"rider_id": st.just("r4"), "gender": st.sampled_from(["unknown", "Female"]),
+                        "helmet": st.just("maybe")}
+WARNING_CASE = (  # company A's trips all have female riders
+    "rider_id,start_nhood,end_nhood,start_time,company\r\n"
+    "r1,Ballard,Fremont,08:00,A\r\nr2,Fremont,Ballard,09:00,B\r\nr3,Ballard,Ballard,18:00,B\r\n",
+    "rider_id,gender,helmet\r\nr1,female,yes\r\nr2,female,no\r\nr3,male,yes\r\n",
+)
+
+
+def _bike(preprocess, trips, riders):
+    """The bike ingest result, or the type and message of the error it raised,
+    and the category and message of each warning it emitted."""
+    with warnings.catch_warnings(record=True) as emitted:
+        warnings.simplefilter("always")
+        try:
+            result = preprocess(trips, riders, BIKE_CONFIG)
+        except (DataError, EmptyInputError) as exc:
+            result = type(exc), str(exc)
+    return result, [(w.category, str(w.message)) for w in emitted]
+
+
+@property_settings
+@given(csv_texts(list(BIKE_TRIP_FIELDS), BIKE_TRIP_FIELDS, SPOILED_BIKE_TRIP_FIELDS),
+       csv_texts(list(RIDER_FIELDS), RIDER_FIELDS, SPOILED_RIDER_FIELDS), st.sampled_from([1, 3, 2048]))
+@example(*WARNING_CASE, 2048)
+def test_bike_ingest_of_paths_and_mappings_equals_the_per_row_oracle(trips, riders, block_rows):
+    texts = (trips, riders)
+    want, want_emitted = _bike(bike_preprocess_per_row, *(csv.DictReader(io.StringIO(t, newline="")) for t in texts))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        paths = [Path(tmp) / "trips.csv", Path(tmp) / "riders.csv"]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf8", newline="")
+        runs = [_bike(bike_preprocess, *paths),
+                _bike(bike_preprocess, *(list(csv.DictReader(io.StringIO(t, newline=""))) for t in texts))]
+    for got, emitted in runs:
+        assert_same_result(got, want)
+        assert emitted == want_emitted
+        assert isinstance(want, tuple) or got.warnings == want.warnings
