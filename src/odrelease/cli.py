@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import cpus_available, file_path, finite, flag, labels, load_json, mapping, whole
+from .config import file_path, finite, flag, labels, load_json, mapping, whole
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
@@ -40,7 +40,7 @@ from .ingest import (
     text_lines,
 )
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, hellinger, pwkt
-from .parallel import MAX_WORKERS, forked_map
+from .parallel import forked_map
 from .privacy import PrivacyParams, ReleaseResult, privatize
 from .repair import FractionalRepairResult, RepairSpec, random_x_baseline, repair
 from .rng import derive_seed
@@ -364,9 +364,9 @@ def run_sweep(
 
     Each row holds the distances of that trial's final output against the
     original input; cells whose threshold wipes out every bucket report
-    bins_released = 0 and NaN distances.  The trials run in contiguous
-    chunks through parallel.forked_map, one per CPU available, and each
-    trial draws from its own seed, so the rows do not depend on the count.
+    bins_released = 0 and NaN distances.  The trials run through
+    parallel.forked_map, and each trial draws from its own seed, so the
+    rows do not depend on how many processes run them.
     """
     if cfg.privacy is None:
         raise ConfigError("sweep requires privacy parameters in the pipeline config")
@@ -377,24 +377,20 @@ def run_sweep(
     cells = [(eps, rho, trial, replace(cfg, privacy=_parse_privacy({**cfg.privacy, "epsilon": eps, "rho": rho})))
              for eps in epsilons for rho in rhos for trial in range(trials)]  # configs parsed before any fork
 
-    def run(chunk) -> list[dict]:
-        rows = []
-        for eps, rho, trial, cell_cfg in chunk:
-            cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
-            final = _run_stages(original, cell_cfg, cell_seed).final
-            rows.append({
-                "epsilon": eps,
-                "rho": rho,
-                "trial": trial,
-                "pwkt": pwkt(original, final) if len(final) else math.nan,
-                "hellinger": hellinger(original, final) if len(final) else math.nan,
-                "bins_released": len(final),
-            })
-        return rows
+    def run(cell) -> dict:
+        eps, rho, trial, cell_cfg = cell
+        cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
+        final = _run_stages(original, cell_cfg, cell_seed).final
+        return {
+            "epsilon": eps,
+            "rho": rho,
+            "trial": trial,
+            "pwkt": pwkt(original, final) if len(final) else math.nan,
+            "hellinger": hellinger(original, final) if len(final) else math.nan,
+            "bins_released": len(final),
+        }
 
-    workers = min(cpus_available(), MAX_WORKERS, len(cells))
-    chunks = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers] for i in range(workers)]
-    rows = [row for chunk_rows in forked_map(run, chunks) for row in chunk_rows]
+    rows = forked_map(run, cells)
 
     if out_path is not None:
         out_path = Path(out_path)

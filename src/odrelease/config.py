@@ -1,13 +1,11 @@
 """The one set of typed readers for JSON config values: each returns a value in
 the type the program uses, or raises a ConfigError naming the dotted field.  A
 missing field reads as None.  A JSON boolean is never read as a number.
-load_json is the one reader of config and schema files, and cpus_available
-the one reading of the machine a run works on."""
+load_json is the one reader of config and schema files."""
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -77,8 +75,3 @@ def load_json(path):
         return json.loads(Path(path).read_text(encoding="utf8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
-
-
-def cpus_available() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -418,7 +418,9 @@ def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:
 def merge(h1: Histogram, h2: Histogram) -> Histogram:
     """Bucketwise sum of two histograms over the same schema."""
     codes, c1, c2 = _union(h1, h2)
-    return Histogram.from_codes(h1.schema, codes, c1 + c2, integral=h1.integral and h2.integral)
+    with np.errstate(over="ignore"):  # an infinite sum is the DataError of from_codes
+        counts = c1 + c2
+    return Histogram.from_codes(h1.schema, codes, counts, integral=h1.integral and h2.integral)
 
 
 def write_histogram_csv(h: Histogram, path) -> None:

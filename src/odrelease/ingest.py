@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import cpus_available, finite, labels, mapping, numbers, text_map
+from .config import finite, labels, mapping, numbers, text_map
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, Histogram
 from .parallel import MAX_WORKERS, forked_map
@@ -402,11 +402,10 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
 
 
 # Reading a taxi CSV from its path.  A file of at least _SPLIT_MIN_BYTES with
-# no '"' byte is cut into up to MAX_WORKERS byte ranges, one per CPU available,
-# each ending just after a newline.  With no quote character every line is a
+# no '"' byte is cut into MAX_WORKERS byte ranges, each ending just after a
+# newline, whatever the machine.  With no quote character every line is a
 # whole row, so each range parses alone.  The ranges are scanned through
-# parallel.forked_map: this process reads the first range, header included,
-# and a forked worker each of the others.
+# parallel.forked_map: this process reads the first range, header included.
 _SPLIT_MIN_BYTES = 8 << 20
 _CHUNK_BYTES = 1 << 20
 
@@ -414,15 +413,14 @@ _CHUNK_BYTES = 1 << 20
 def _range_starts(path) -> list[int]:
     """The byte offset at which each range of the file at path starts."""
     size = os.path.getsize(path)
-    ranges = min(cpus_available(), MAX_WORKERS)
-    if size < _SPLIT_MIN_BYTES or ranges == 1:
+    if size < _SPLIT_MIN_BYTES:
         return [0]
     starts = [0]
     with open(path, "rb") as f:
         if any(b'"' in chunk for chunk in iter(functools.partial(f.read, _CHUNK_BYTES), b"")):
             return [0]
-        for i in range(1, ranges):
-            f.seek(max(size * i // ranges, starts[-1]))
+        for i in range(1, MAX_WORKERS):
+            f.seek(max(size * i // MAX_WORKERS, starts[-1]))
             f.readline()  # to just after the next newline
             if f.tell() >= size:
                 break
@@ -490,9 +488,10 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     records is the path of a UTF-8 trips CSV or an iterable of mappings, a
     csv.DictReader among them.  Rows are checked a block at a time in numpy.
     A path is read in byte ranges: a CSV of 8 MiB or more with no '"' byte
-    in up to four at once, one per CPU available, with the same result, and
-    any other CSV in one.  Any other iterable is read through rec.get, one
-    record at a time, so passing the path is the fast way to read a file.
+    in four, by one process per CPU available (at most four), with the same
+    result, and any other CSV in one.  Any other iterable is read through
+    rec.get, one record at a time, so passing the path is the fast way to
+    read a file.
     """
     schema = _taxi_schema(config)
     if isinstance(records, (str, os.PathLike)):

@@ -17,10 +17,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import cpus_available
 from .errors import ConfigError, DataError, EmptyInputError
 from .histogram import Histogram, align, check_same_schema, rank_by_count
-from .parallel import MAX_WORKERS, forked_map
+from .parallel import forked_map
 from .rng import substream
 
 METRIC_IDS = ("pwkt", "hellinger")
@@ -192,16 +191,6 @@ def _resolve_metric(metric) -> str | MetricFn:
 _MIN_FORK_BUCKETS = 300
 
 
-def _bootstrap_workers(resolved: Mapping[str, object], replicates: int, buckets: int) -> int:
-    """Jobs to split the replicates into: the CPUs available, at most
-    MAX_WORKERS, and one for a histogram of under _MIN_FORK_BUCKETS buckets
-    or when a metric is a callable, whose effects a forked worker would not
-    pass back."""
-    if buckets < _MIN_FORK_BUCKETS or any(callable(metric) for metric in resolved.values()):
-        return 1
-    return min(cpus_available(), MAX_WORKERS, replicates)
-
-
 def bootstrap_distances(
     h: Histogram,
     metrics: Mapping[str, object],
@@ -217,13 +206,12 @@ def bootstrap_distances(
     are order independent and results for a given seed do not depend on
     which metrics are requested.
 
-    The replicates run in contiguous chunks through parallel.forked_map, one
-    chunk per CPU available: the calling process runs the first and forked
-    workers the others, or the calling process all of them for a small
-    histogram or when a metric is a callable.  The chunks' distances are
-    joined in replicate order, so the output does not depend on how many
-    CPUs there are.  All substreams are opened in the calling process before
-    any worker forks.
+    The replicates run through parallel.forked_map, or all in the calling
+    process for a histogram of under _MIN_FORK_BUCKETS buckets or when a
+    metric is a callable, whose effects a forked worker would not pass back.
+    Their distances come back in replicate order, so the output does not
+    depend on how many processes ran them.  All substreams are opened in the
+    calling process before any worker forks.
     """
     if not h.integral:
         raise DataError("bootstrap resampling requires an integer-mode histogram")
@@ -240,26 +228,24 @@ def bootstrap_distances(
 
     streams = [substream(seed, "bootstrap", r) for r in range(replicates)]
 
-    def run(chunk: range) -> dict[str, np.ndarray]:
-        out = {name: np.empty(len(chunk)) for name in resolved}
-        for i, r in enumerate(chunk):
-            sample = streams[r].multinomial(total, probs)
-            replicate_hist = None
-            for name, metric in resolved.items():
-                if metric == "pwkt":
-                    out[name][i] = _pwkt_from_vectors(sample, key_order, weights)
-                elif metric == "hellinger":
-                    out[name][i] = _hellinger_from_vectors(probs, sample / total)
-                else:
-                    if replicate_hist is None:
-                        replicate_hist = Histogram.from_codes(h.schema, codes, sample)
-                    out[name][i] = metric(h, replicate_hist)
-        return out
+    def run(r: int) -> list:
+        sample = streams[r].multinomial(total, probs)
+        replicate_hist = None
+        distances = []
+        for metric in resolved.values():
+            if metric == "pwkt":
+                distances.append(_pwkt_from_vectors(sample, key_order, weights))
+            elif metric == "hellinger":
+                distances.append(_hellinger_from_vectors(probs, sample / total))
+            else:
+                if replicate_hist is None:
+                    replicate_hist = Histogram.from_codes(h.schema, codes, sample)
+                distances.append(metric(h, replicate_hist))
+        return distances
 
-    workers = _bootstrap_workers(resolved, replicates, len(h))
-    chunks = [range(replicates * i // workers, replicates * (i + 1) // workers) for i in range(workers)]
-    parts = forked_map(run, chunks)
-    return {name: np.concatenate([part[name] for part in parts]) for name in resolved}
+    serial = len(h) < _MIN_FORK_BUCKETS or any(callable(metric) for metric in resolved.values())
+    rows = [run(r) for r in range(replicates)] if serial else forked_map(run, range(replicates))
+    return dict(zip(resolved, np.array(rows, dtype=float).T.copy()))
 
 
 def _band(distances: np.ndarray) -> Band:

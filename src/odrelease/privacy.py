@@ -137,24 +137,24 @@ def _exponential(mean: float, uniform):
 
 def laplace_sample(location: float, scale: float, rng: np.random.Generator, size=None):
     """Laplace draw(s) via inverse CDF on a uniform; scale is the diversity b."""
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale!r}")
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
     value = _laplace(location, scale, rng.random(size))
     return float(value) if size is None else value
 
 
 def exponential_sample(mean: float, rng: np.random.Generator, size=None):
     """Exponential draw(s) with the given mean (rate 1/mean)."""
-    if mean <= 0:
-        raise ConfigError(f"mean must be positive, got {mean!r}")
+    if not 0 < mean < math.inf:
+        raise ConfigError(f"mean must be positive and finite, got {mean!r}")
     value = _exponential(mean, rng.random(size))
     return float(value) if size is None else value
 
 
 def binomial_sample(n: int, p: float, rng: np.random.Generator) -> int:
     """Exact Binomial(n, p) draw."""
-    if n < 0:
-        raise ConfigError(f"n must be nonnegative, got {n!r}")
+    if not 0 <= n < 2**63:
+        raise ConfigError(f"n must be in [0, 2**63), got {n!r}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p!r}")
     return int(rng.binomial(n, p))

@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, SchemaError
+from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
 from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
 from .rng import substream
@@ -258,7 +258,10 @@ def average_treatment_effect(
 
     # per-stratum treated/control mass and coded outcome sums
     strata = bucket_groups(h, spec.z)
-    coding = np.array([outcome_coding.get(label, 0.0) for label in y_domain], dtype=float)[y_pos]
+    coding = np.array([outcome_coding.get(label, 0.0) for label in y_domain], dtype=float)
+    if not np.isfinite(coding).all():
+        raise ConfigError(f"outcome coding holds a code that is not a finite number: {dict(outcome_coding)}")
+    coding = coding[y_pos]
     sums = []
     for level in (x1, x0):
         mass = np.where(x_pos == x_domain.index(level), h.counts, 0)

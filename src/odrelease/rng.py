@@ -20,6 +20,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Philox-4x64 round multipliers and Weyl key increments (Salmon et al. 2011),
 # as numpy's Philox uses them.
 _M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
@@ -27,8 +29,15 @@ _W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
+def _seed_text(seed: int) -> str:
+    try:
+        return repr(int(seed))
+    except (ValueError, OverflowError):  # a NaN or infinite seed
+        raise ConfigError(f"seed must be a finite number, got {seed!r}") from None
+
+
 def _digest(seed: int, labels: tuple) -> bytes:
-    parts = [repr(int(seed))]
+    parts = [_seed_text(seed)]
     parts.extend(repr(lab) for lab in labels)
     return hashlib.blake2b("\x1f".join(parts).encode("utf8"), digest_size=16).digest()
 
@@ -51,7 +60,7 @@ def derive_seed(seed: int, *labels) -> int:
 def _indexed_digests(seed: int, label: str, count: int) -> bytes:
     """The _digest of (label, i) for i in range(count), concatenated.  The
     shared prefix is hashed once and each index on a copy of that state."""
-    head = hashlib.blake2b("\x1f".join([repr(int(seed)), repr(label), ""]).encode("utf8"), digest_size=16)
+    head = hashlib.blake2b("\x1f".join([_seed_text(seed), repr(label), ""]).encode("utf8"), digest_size=16)
     digests = bytearray()
     for i in range(count):
         path = head.copy()

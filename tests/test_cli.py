@@ -23,7 +23,7 @@ from odrelease import (
     read_histogram_csv,
     write_histogram_csv,
 )
-from odrelease import cli, ingest, metrics
+from odrelease import cli, ingest, metrics, parallel
 from odrelease.cli import PipelineConfig, main, run_measure, run_release, run_sweep
 from helpers import assert_no_child_left, recording_pids
 
@@ -637,7 +637,7 @@ BYTE_FUZZ = {
 def test_mutated_input_file_bytes_exit_with_a_code(command, data):
     """Each taxi trips CSV is read in byte ranges, whatever its size, in workers forked as for a large file."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
-            mock.patch.object(ingest, "cpus_available", lambda: 3):
+            mock.patch.object(ingest, "MAX_WORKERS", 3), mock.patch.object(parallel, "cpus_available", lambda: 3):
         tmp_path = Path(tmp)
         make_argv, targets = BYTE_FUZZ[command]
         argv = make_argv(tmp_path)
@@ -721,17 +721,17 @@ class TestSweep:
         pids = tmp_path / "pids"
         monkeypatch.setattr(cli, "_run_stages", recording_pids(pids, cli._run_stages))
         ran = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(cli, "cpus_available", lambda: cpus)
+        for cpus in (1, 2, 3, 64):
+            monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
             out = tmp_path / f"out{cpus}"
             argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
                     "--epsilons", "1,10", "--rhos", "0.5,0.9", "--trials", "2"]
             assert main(argv) == 0
-            assert len(set(pids.read_text().split())) == cpus  # one process per chunk of trials
+            assert len(set(pids.read_text().split())) == min(cpus, parallel.MAX_WORKERS)  # one per chunk of trials
             rows = run_sweep(PipelineConfig.load(cfg_path), [1.0, 10.0], [0.5, 0.9], trials=2)
             ran[cpus] = (repr(rows), (out / "sweep.csv").read_bytes())  # repr: a NaN distance equals itself
             pids.unlink()
-        assert ran[1] == ran[2] == ran[3]
+        assert ran[1] == ran[2] == ran[3] == ran[64]
         assert_no_child_left()
 
     def test_a_data_error_in_a_later_chunk_ends_as_in_a_serial_run(self, tmp_path, monkeypatch, capfd):
@@ -739,7 +739,7 @@ class TestSweep:
         cfg_path = write_pipeline_config(tmp_path)
         ended = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "cpus_available", lambda: cpus)
+            monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
             out = tmp_path / f"out{cpus}"
             code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
                          "--epsilons", "1,1e-305", "--rhos", "0.9", "--trials", "1"])  # the second cell overflows

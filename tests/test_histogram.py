@@ -409,3 +409,11 @@ def test_merge_adds_counts():
     assert m.get(("a", "0")) == 4
     assert m.get(("c", "1")) == 2
     assert m.total == h1.total + h2.total
+
+
+def test_merge_to_an_infinite_count_is_a_data_error_alone():
+    h = Histogram(two_attr_schema(), {("a", "0"): 1.7e308, ("b", "1"): 1.0}, integral=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be raised here
+        with pytest.raises(DataError, match="non-finite count"):
+            merge(h, h)

@@ -27,8 +27,9 @@ from odrelease import (
     tertiles,
     time_bucket,
 )
-from odrelease import cli, ingest
+from odrelease import cli, ingest, parallel
 from odrelease.ingest import BikeConfig, round_coordinate
+from helpers import recording_pids
 
 
 class TestTimeBucket:
@@ -256,9 +257,10 @@ def trips_csv(path, blocks, rows=60):
 
 
 def read_in(monkeypatch, ranges):
-    """Read paths in up to `ranges` ranges, whatever their size."""
+    """Read paths in up to `ranges` ranges, whatever their size, one process per range."""
     monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
-    monkeypatch.setattr(ingest, "cpus_available", lambda: ranges)
+    monkeypatch.setattr(ingest, "MAX_WORKERS", ranges)
+    monkeypatch.setattr(parallel, "cpus_available", lambda: ranges)
 
 
 def range_of(path, offset):
@@ -273,29 +275,35 @@ FAULTS = {  # a bad line, and the error a read of it raises
 
 
 class TestTaxiCsvRanges:
-    def test_a_csv_path_reads_like_its_dict_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_a_csv_path_reads_like_its_dict_reader(self, tmp_path, monkeypatch, cpus):
         path = tmp_path / "trips.csv"
         trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])
-        read_in(monkeypatch, 3)
-        assert len(ingest._range_starts(path)) == 3
+        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
+        assert len(ingest._range_starts(path)) == parallel.MAX_WORKERS
         with open(path, newline="", encoding="utf8") as f:
             want = taxi_preprocess(csv.DictReader(f), TaxiConfig())
+        pids = tmp_path / "pids"
+        monkeypatch.setattr(ingest, "_scan_taxi", recording_pids(pids, ingest._scan_taxi))
         for records in (path, str(path)):
             got = taxi_preprocess(records, TaxiConfig())
             assert (got.stats, got.histogram) == (want.stats, want.histogram)
+            ran = pids.read_text().split()
+            assert len(ran) == parallel.MAX_WORKERS and len(set(ran)) == min(cpus, parallel.MAX_WORKERS)
+            pids.unlink()
         assert multiprocessing.active_children() == []
 
-    def test_a_file_is_split_only_when_large_quote_free_and_on_several_cpus(self, tmp_path, monkeypatch):
+    def test_a_file_is_split_only_when_large_and_quote_free_whatever_the_cpus(self, tmp_path, monkeypatch):
         path = tmp_path / "trips.csv"
         trips_csv(path, [None, None])
-        monkeypatch.setattr(ingest, "cpus_available", lambda: 2)
         assert ingest._range_starts(path) == [0]  # under _SPLIT_MIN_BYTES
-        read_in(monkeypatch, 2)
-        assert len(ingest._range_starts(path)) == 2
-        monkeypatch.setattr(ingest, "cpus_available", lambda: 1)
-        assert ingest._range_starts(path) == [0]
-        monkeypatch.setattr(ingest, "cpus_available", lambda: 64)
-        assert len(ingest._range_starts(path)) == ingest.MAX_WORKERS
+        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+        starts = ingest._range_starts(path)
+        assert len(starts) == parallel.MAX_WORKERS
+        for cpus in (1, 64):
+            monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
+            assert ingest._range_starts(path) == starts
         trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
         assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
 

@@ -19,7 +19,7 @@ from odrelease import (
     pwkt,
     support_union,
 )
-from odrelease import metrics
+from odrelease import metrics, parallel
 from odrelease.metrics import _smaller_before
 from helpers import (
     full_reversal_closed_form,
@@ -219,47 +219,35 @@ class TestBootstrap:
         bootstrap_band(h, probe, replicates=25, seed=1)
         assert seen == [h.total] * 25
 
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_distances_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, workers):
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_distances_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, cpus):
         h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})  # tied counts
         wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 1)
+        monkeypatch.setattr(metrics, "_MIN_FORK_BUCKETS", 0)  # forks even for this small histogram
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 1)
         serial = bootstrap_distances(h, wanted, 5, seed=8)
         pids = tmp_path / "pids"
         monkeypatch.setattr(metrics, "_pwkt_from_vectors", recording_pids(pids, metrics._pwkt_from_vectors))
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: workers)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
         split = bootstrap_distances(h, wanted, 5, seed=8)
         ran = pids.read_text().split()
-        assert len(ran) == 5 and len(set(ran)) > 1  # forked workers did run replicates
+        assert len(ran) == 5 and len(set(ran)) == min(cpus, parallel.MAX_WORKERS)
         for name in wanted:
             assert serial[name].tobytes() == split[name].tobytes()
 
-    def test_worker_count_is_bounded_by_cpus_cap_and_replicates(self, monkeypatch):
-        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == metrics.MAX_WORKERS
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 2, 1000) == 2
-        assert metrics._bootstrap_workers({"d": "pwkt", "f": lambda reference, replicate: 0.0}, 200, 1000) == 1
-        monkeypatch.setattr(metrics, "cpus_available", lambda: 1)
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, 1000) == 1
-
-    def test_a_small_histogram_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
-        small = metrics._MIN_FORK_BUCKETS
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small - 1) == 1
-        assert metrics._bootstrap_workers({"d": "pwkt"}, 200, small) == metrics.MAX_WORKERS
-        h = hist("abcdefgh", {"a": 40, "b": 25, "c": 25, "d": 6, "e": 6, "f": 6, "g": 1})
-        wanted = {"pwkt": "pwkt", "hellinger": "hellinger"}
+    @pytest.mark.parametrize("buckets,processes", [(metrics._MIN_FORK_BUCKETS - 1, 1), (metrics._MIN_FORK_BUCKETS, 2)])
+    def test_only_a_histogram_of_min_fork_buckets_or_more_forks(self, monkeypatch, tmp_path, buckets, processes):
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 2)
+        labels = [f"v{i}" for i in range(metrics._MIN_FORK_BUCKETS)]
+        h = hist(labels, {label: 1 + i % 7 for i, label in enumerate(labels[:buckets])})
         pids = tmp_path / "pids"
         monkeypatch.setattr(metrics, "_pwkt_from_vectors", recording_pids(pids, metrics._pwkt_from_vectors))
-        serial = bootstrap_distances(h, wanted, 12, seed=8)
-        assert pids.read_text().split() == [str(os.getpid())] * 12
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 3)
-        split = bootstrap_distances(h, wanted, 12, seed=8)
-        for name in wanted:
-            assert serial[name].tobytes() == split[name].tobytes()
+        bootstrap_distances(h, {"pwkt": "pwkt"}, 6, seed=8)
+        ran = pids.read_text().split()
+        assert len(ran) == 6 and ran[0] == str(os.getpid()) and len(set(ran)) == processes
 
     def test_a_callable_metric_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(metrics, "cpus_available", lambda: 64)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 64)
         monkeypatch.setattr(metrics, "_MIN_FORK_BUCKETS", 0)  # forks even for this small histogram
         h = hist("abcde", {"a": 13, "b": 9, "c": 4})
         pids = tmp_path / "pids"
@@ -277,7 +265,8 @@ class TestBootstrap:
             return opened(*args)
 
         monkeypatch.setattr(metrics, "substream", recorder)
-        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda resolved, replicates, buckets: 3)
+        monkeypatch.setattr(metrics, "_MIN_FORK_BUCKETS", 0)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 3)
         bootstrap_distances(h, {"pwkt": "pwkt", "hellinger": "hellinger"}, 12, seed=2)
         assert threads == [threading.get_ident()] * 12
 

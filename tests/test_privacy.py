@@ -10,8 +10,11 @@ from odrelease import (
     EmptyInputError,
     Histogram,
     PrivacyParams,
+    RepairSpec,
+    average_treatment_effect,
     binomial_sample,
     complement_sample,
+    derive_seed,
     domain_size_for_threshold,
     exponential_sample,
     laplace_sample,
@@ -33,6 +36,14 @@ def small_schema(n_labels=6):
     (percentile, ([], 50), EmptyInputError),
     (threshold, (10**400, 0.5, 1.0), ConfigError),
     (domain_size_for_threshold, (math.inf, 0.5, 1.0), ConfigError),
+    (binomial_sample, (2**70, 0.5, substream(1, "b")), ConfigError),
+    (substream, (math.nan, "x"), ConfigError),
+    (derive_seed, (math.inf, "x"), ConfigError),
+    (laplace_sample, (0.0, math.nan, substream(1, "l")), ConfigError),
+    (exponential_sample, (math.inf, substream(1, "e")), ConfigError),
+    (average_treatment_effect, (Histogram(AttributeSchema((("x", ("a", "b")), ("y", ("0", "1")))),
+                                          {("a", "0"): 2, ("a", "1"): 1, ("b", "0"): 1, ("b", "1"): 2}),
+                                RepairSpec("x", "y"), {"0": 0.0, "1": math.inf}, "a", "b"), ConfigError),
 ])
 def test_extreme_arguments_raise_typed_errors(fn, args, error):
     with pytest.raises(error):

@@ -39,7 +39,7 @@ from odrelease import (
     taxi_preprocess,
     write_histogram_csv,
 )
-from odrelease import ingest
+from odrelease import ingest, parallel
 from odrelease.histogram import align
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
@@ -555,10 +555,12 @@ def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
 
 
 @property_settings
-@given(taxi_csvs(), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2048]), st.sampled_from([1, 50, 1 << 20]))
-def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, block_rows, chunk_bytes):
+@given(taxi_csvs(), st.sampled_from([1, 2, 3, 4]), st.sampled_from([1, 2, 3, 64]), st.sampled_from([1, 2048]),
+       st.sampled_from([1, 50, 1 << 20]))
+def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, cpus, block_rows, chunk_bytes):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
-            mock.patch.object(ingest, "cpus_available", lambda: ranges), \
+            mock.patch.object(ingest, "MAX_WORKERS", ranges), \
+            mock.patch.object(parallel, "cpus_available", lambda: cpus), \
             mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
         path = Path(tmp) / "trips.csv"
