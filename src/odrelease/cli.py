@@ -39,7 +39,7 @@ from .ingest import (
     taxi_preprocess,
     text_lines,
 )
-from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, hellinger, pwkt
+from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, pair_distances
 from .parallel import forked_map
 from .privacy import PrivacyParams, ReleaseResult, privatize
 from .repair import FractionalRepairResult, RepairSpec, random_x_baseline, repair
@@ -381,14 +381,8 @@ def run_sweep(
         eps, rho, trial, cell_cfg = cell
         cell_seed = derive_seed(seed, "sweep", float(eps), float(rho), trial)
         final = _run_stages(original, cell_cfg, cell_seed).final
-        return {
-            "epsilon": eps,
-            "rho": rho,
-            "trial": trial,
-            "pwkt": pwkt(original, final) if len(final) else math.nan,
-            "hellinger": hellinger(original, final) if len(final) else math.nan,
-            "bins_released": len(final),
-        }
+        distances = pair_distances(original, final) if len(final) else {"pwkt": math.nan, "hellinger": math.nan}
+        return {"epsilon": eps, "rho": rho, "trial": trial, **distances, "bins_released": len(final)}
 
     rows = forked_map(run, cells)
 

@@ -182,6 +182,11 @@ class AttributeSchema:
         return cls.from_json_obj(load_json(path))
 
 
+def _check_integer_total(total: int) -> None:
+    if total >= _INT64_LIMIT:
+        raise DataError(f"integer counts total {total}, more than a 64-bit integer holds")
+
+
 def rank_by_count(counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
     """Positions of the counts in (count desc, key asc) order, given the
     positions in key order.
@@ -246,7 +251,8 @@ class Histogram:
         order = np.argsort(codes)
         codes, counts = codes[order], counts[order]
         if len(repeated := np.flatnonzero(codes[1:] == codes[:-1])):
-            raise DataError(f"bucket code {codes[repeated[0]].item()} is given more than once")
+            code = codes[repeated[0] : repeated[0] + 1]
+            raise DataError(f"bucket code {code[0].item()} is given more than once: {schema.keys_at(code)[0]}")
         nonzero = counts != 0
         self.schema, self.integral = schema, integral
         self.codes, self.counts = codes[nonzero], counts[nonzero]
@@ -255,8 +261,8 @@ class Histogram:
             self.total = sum(values) if integral else math.fsum(values)
         except OverflowError:  # fractional counts whose total is past the float range
             raise DataError("fractional counts total more than a float holds") from None
-        if integral and self.total >= _INT64_LIMIT:
-            raise DataError(f"integer counts total {self.total}, more than a 64-bit integer holds")
+        if integral:
+            _check_integer_total(self.total)
         self.codes.flags.writeable = self.counts.flags.writeable = False
 
     def counts_at(self, codes) -> np.ndarray:
@@ -417,10 +423,13 @@ def support_union(h1: Histogram, h2: Histogram) -> list[BucketKey]:
 
 def merge(h1: Histogram, h2: Histogram) -> Histogram:
     """Bucketwise sum of two histograms over the same schema."""
+    integral = h1.integral and h2.integral
+    if integral:  # below this total no bucket's int64 sum wraps
+        _check_integer_total(h1.total + h2.total)
     codes, c1, c2 = _union(h1, h2)
     with np.errstate(over="ignore"):  # an infinite sum is the DataError of from_codes
         counts = c1 + c2
-    return Histogram.from_codes(h1.schema, codes, counts, integral=h1.integral and h2.integral)
+    return Histogram.from_codes(h1.schema, codes, counts, integral=integral)
 
 
 def write_histogram_csv(h: Histogram, path) -> None:
@@ -449,16 +458,12 @@ def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
         expected = list(schema.names) + [_COUNT_COLUMN]
         if header != expected:
             raise SchemaError(f"{path}: header {header!r} does not match schema columns {expected!r}")
-        counts: dict[BucketKey, float] = {}
-        integral = True
+        keys, counts, integral = [], [], True
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(expected):
                 raise DataError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
-            key = tuple(row[:-1])
-            if key in counts:
-                raise DataError(f"{path}:{lineno}: duplicate bucket key {key!r}")
             raw = row[-1]
             try:
                 value = int(raw)
@@ -468,7 +473,6 @@ def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad count {raw!r}") from None
                 integral = False
-            if value < 0:
-                raise DataError(f"{path}:{lineno}: negative count {raw!r}")
-            counts[key] = value
-    return Histogram(schema, counts, integral=integral)
+            keys.append(row[:-1])
+            counts.append(value)
+    return Histogram.from_codes(schema, schema.encode(keys), counts, integral)  # _store checks every count

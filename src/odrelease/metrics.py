@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError
-from .histogram import Histogram, align, check_same_schema, rank_by_count
+from .histogram import Histogram, align, rank_by_count
 from .parallel import forked_map
 from .rng import substream
 
@@ -162,13 +162,26 @@ def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
     return math.sqrt(min(max(1.0 - bc, 0.0), 1.0))
 
 
-def hellinger(h1: Histogram, h2: Histogram) -> float:
-    """sqrt(1 - Bhattacharyya coefficient) of the normalized histograms."""
-    check_same_schema(h1, h2)
+def _hellinger_from_counts(h1: Histogram, h2: Histogram, p: np.ndarray, q: np.ndarray) -> float:
+    """Hellinger distance of h1 and h2 from their counts p and q over one aligned union."""
     if h1.total <= 0 or h2.total <= 0:
         raise EmptyInputError("Hellinger distance of an empty histogram")
-    _, p, q, _ = align(h1, h2)
     return _hellinger_from_vectors(p / h1.total, q / h2.total)
+
+
+def hellinger(h1: Histogram, h2: Histogram) -> float:
+    """sqrt(1 - Bhattacharyya coefficient) of the normalized histograms."""
+    _, p, q, _ = align(h1, h2)  # align checks the schemas
+    return _hellinger_from_counts(h1, h2, p, q)
+
+
+def pair_distances(reference: Histogram, other: Histogram) -> dict[str, float]:
+    """pwkt(reference, other) and hellinger(reference, other), bit for bit, from one align."""
+    codes, ref, oth, key_order = align(reference, other)
+    return {
+        "pwkt": _pwkt_from_vectors(oth, key_order, _position_weights(len(codes), "harmonic")),
+        "hellinger": _hellinger_from_counts(reference, other, ref, oth),
+    }
 
 
 MetricFn = Callable[[Histogram, Histogram], float]
@@ -286,15 +299,9 @@ def distance_report(
     baseline: Histogram | None = None,
 ) -> DistanceReport:
     """The report of build_distance_report from bootstrap distances already drawn with `seed`."""
-    baseline_values = None
-    if baseline is not None:
-        baseline_values = {
-            "pwkt": pwkt(reference, baseline),
-            "hellinger": hellinger(reference, baseline),
-        }
+    baseline_values = pair_distances(reference, baseline) if baseline is not None else None
     return DistanceReport(
-        pwkt=pwkt(reference, other),
-        hellinger=hellinger(reference, other),
+        **pair_distances(reference, other),
         band={name: _band(d) for name, d in distances.items()},
         baseline=baseline_values,
         replicates=len(distances["pwkt"]),

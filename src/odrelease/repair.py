@@ -262,17 +262,25 @@ def average_treatment_effect(
     if not np.isfinite(coding).all():
         raise ConfigError(f"outcome coding holds a code that is not a finite number: {dict(outcome_coding)}")
     coding = coding[y_pos]
-    sums = []
-    for level in (x1, x0):
-        mass = np.where(x_pos == x_domain.index(level), h.counts, 0)
-        sums.append((strata.sum(mass), strata.sum(mass * coding)))
-    (m1, y1), (m0, y0) = sums
-    overlap = (m1 > 0) & (m0 > 0)
-    if not overlap.any():
-        raise DataError("no stratum satisfies overlap for the designated levels")
-    diff = y1[overlap] / m1[overlap] - y0[overlap] / m0[overlap]
-    z_total = strata.sum(h.counts)[overlap]
-    ate = math.fsum((diff * z_total).tolist()) / math.fsum(z_total.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is the ConfigError below
+        sums = []
+        for level in (x1, x0):
+            mass = np.where(x_pos == x_domain.index(level), h.counts, 0)
+            sums.append((strata.sum(mass), strata.sum(mass * coding)))
+        (m1, y1), (m0, y0) = sums
+        overlap = (m1 > 0) & (m0 > 0)
+        if not overlap.any():
+            raise DataError("no stratum satisfies overlap for the designated levels")
+        diff = y1[overlap] / m1[overlap] - y0[overlap] / m0[overlap]
+        z_total = strata.sum(h.counts)[overlap]
+        weighted = diff * z_total
+    past_range = f"outcome coding {dict(outcome_coding)} takes the effect past the float range"
+    if not np.isfinite(weighted).all():  # every overflow in a stratum with overlap reaches its weighted difference
+        raise ConfigError(past_range)
+    try:
+        ate = math.fsum(weighted.tolist()) / math.fsum(z_total.tolist())
+    except OverflowError:  # finite weighted differences that sum past the float range
+        raise ConfigError(past_range) from None
     return ATEResult(ate, int(np.count_nonzero(~overlap)))
 
 

@@ -86,6 +86,8 @@ def first_uniforms(seed: int, label: str, count: int) -> np.ndarray:
     draw is word 0 of ten Philox-4x64 rounds on the counter (1, 0, 0, 0),
     turned into a double in [0, 1) by its top 53 bits.
     """
+    if count <= 0:  # no draws: skip the rounds on empty arrays
+        return np.empty(0)
     words = np.frombuffer(_indexed_digests(seed, label, count), dtype=">u8").astype(np.uint64).reshape(-1, 2)
     k0, k1 = words[:, 1], words[:, 0]
     c0 = np.ones(len(words), dtype=np.uint64)

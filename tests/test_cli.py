@@ -734,6 +734,18 @@ class TestSweep:
         assert ran[1] == ran[2] == ran[3] == ran[64]
         assert_no_child_left()
 
+    def test_each_pair_is_aligned_once(self, tmp_path, monkeypatch):
+        schema, h = write_small_input(tmp_path)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 1)
+        align = mock.Mock(wraps=metrics.align)
+        monkeypatch.setattr(metrics, "align", align)
+        other = Histogram(schema, {("o1", "m", "1"): 3, ("o2", "f", "2"): 1})
+        metrics.build_distance_report(h, other, replicates=5, seed=1, baseline=h)
+        assert align.call_count == 3  # the bootstrap's ranking, the release and the baseline
+        align.reset_mock()
+        rows = run_sweep(PipelineConfig.load(write_pipeline_config(tmp_path)), [10.0], [0.5], trials=1)
+        assert rows[0]["bins_released"] > 0 and align.call_count == 1
+
     def test_a_data_error_in_a_later_chunk_ends_as_in_a_serial_run(self, tmp_path, monkeypatch, capfd):
         write_small_input(tmp_path)
         cfg_path = write_pipeline_config(tmp_path)

@@ -379,13 +379,13 @@ class TestCsv:
     def test_duplicate_keys_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("first,second,count\na,0,1\na,0,2\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"is given more than once: \('a', '0'\)"):
             read_histogram_csv(path, two_attr_schema())
 
     def test_negative_count_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
-        path.write_text("first,second,count\na,0,-1\n")
-        with pytest.raises(DataError):
+        path.write_text("first,second,count\nb,1,2\na,0,-1\n")
+        with pytest.raises(DataError, match=r"negative count -1 for bucket \('a', '0'\)"):
             read_histogram_csv(path, two_attr_schema())
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
@@ -409,6 +409,14 @@ def test_merge_adds_counts():
     assert m.get(("a", "0")) == 4
     assert m.get(("c", "1")) == 2
     assert m.total == h1.total + h2.total
+
+
+def test_merge_past_the_int64_total_is_a_data_error_before_any_sum_wraps():
+    h = Histogram(two_attr_schema(), {("a", "0"): 3 * 2**61, ("b", "1"): 1})
+    with pytest.raises(DataError, match=rf"integer counts total {2 * h.total}, more than a 64-bit integer holds"):
+        merge(h, h)
+    below = Histogram(two_attr_schema(), {("a", "0"): 2**62 - 1})
+    assert merge(below, below).total == 2**63 - 2
 
 
 def test_merge_to_an_infinite_count_is_a_data_error_alone():

@@ -32,6 +32,15 @@ def small_schema(n_labels=6):
     return AttributeSchema((("x", tuple(f"v{i}" for i in range(n_labels))),))
 
 
+def ate_args(counts, coding):
+    """average_treatment_effect's arguments over a 2x2 histogram, levels a against b."""
+    h = Histogram(AttributeSchema((("x", ("a", "b")), ("y", ("0", "1")))), counts)
+    return h, RepairSpec("x", "y"), coding, "a", "b"
+
+
+ONE_EACH = {("a", "0"): 1, ("b", "1"): 1}
+
+
 @pytest.mark.parametrize("fn,args,error", [
     (percentile, ([], 50), EmptyInputError),
     (threshold, (10**400, 0.5, 1.0), ConfigError),
@@ -41,9 +50,13 @@ def small_schema(n_labels=6):
     (derive_seed, (math.inf, "x"), ConfigError),
     (laplace_sample, (0.0, math.nan, substream(1, "l")), ConfigError),
     (exponential_sample, (math.inf, substream(1, "e")), ConfigError),
-    (average_treatment_effect, (Histogram(AttributeSchema((("x", ("a", "b")), ("y", ("0", "1")))),
-                                          {("a", "0"): 2, ("a", "1"): 1, ("b", "0"): 1, ("b", "1"): 2}),
-                                RepairSpec("x", "y"), {"0": 0.0, "1": math.inf}, "a", "b"), ConfigError),
+    (average_treatment_effect, ate_args({("a", "0"): 2, ("a", "1"): 1, ("b", "0"): 1, ("b", "1"): 2},
+                                        {"0": 0.0, "1": math.inf}), ConfigError),
+    # a finite code whose product with a count, stratum difference or weighted difference overflows
+    (average_treatment_effect, ate_args({("a", "0"): 10, ("a", "1"): 10, ("b", "0"): 10, ("b", "1"): 10},
+                                        {"0": 0.0, "1": 1e308}), ConfigError),
+    (average_treatment_effect, ate_args(ONE_EACH, {"0": 1e308, "1": -1e308}), ConfigError),
+    (average_treatment_effect, ate_args(ONE_EACH, {"0": 1e308, "1": 0.0}), ConfigError),
 ])
 def test_extreme_arguments_raise_typed_errors(fn, args, error):
     with pytest.raises(error):

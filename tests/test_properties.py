@@ -22,6 +22,7 @@ from odrelease import (
     Histogram,
     PrivacyParams,
     RepairSpec,
+    SchemaError,
     TaxiConfig,
     bike_preprocess,
     bootstrap_distances,
@@ -42,7 +43,7 @@ from odrelease import (
 from odrelease import ingest, parallel
 from odrelease.histogram import align
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
-from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before
+from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before, pair_distances
 
 from helpers import (
     align_union1d,
@@ -182,6 +183,28 @@ def test_ranking_align_and_merge_equal_the_lexsort_and_unique_oracles(pair):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     got, want = merge(reference, other), merge_unique(reference, other)
     assert got == want and got.counts.dtype == want.counts.dtype and got.counts.tobytes() == want.counts.tobytes()
+
+
+@property_settings
+@given(ranked_histogram_pairs(), st.booleans())
+def test_pair_distances_equal_pwkt_and_hellinger_bit_for_bit(pair, other_schema):
+    reference, other = pair
+    if other_schema:  # the same buckets over a schema whose first attribute has another name
+        schema = AttributeSchema((("b0", other.schema.domains[0]), *other.schema.attributes[1:]))
+        other = Histogram.from_codes(schema, other.codes, other.counts, other.integral)
+
+    def outcome(distances):
+        try:
+            return {name: d.hex() for name, d in distances().items()}
+        except DataError as exc:
+            return type(exc)
+
+    got = outcome(lambda: pair_distances(reference, other))
+    assert got == outcome(lambda: {"pwkt": pwkt(reference, other), "hellinger": hellinger(reference, other)})
+    if other_schema:
+        assert got is SchemaError
+    elif not (reference.total and other.total):
+        assert got is EmptyInputError
 
 
 # Nonnegative finite floats, with the edges drawn often: zero, subnormals,

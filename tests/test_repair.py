@@ -6,6 +6,7 @@ import pytest
 
 from odrelease import (
     AttributeSchema,
+    ConfigError,
     DataError,
     EmptyInputError,
     Histogram,
@@ -306,6 +307,22 @@ class TestAverageTreatmentEffect:
             average_treatment_effect(
                 h, RepairSpec("x", "y", ("s",)), {"0": 0.0}, x1="a", x0="b"
             )
+
+    def test_weighted_differences_summing_past_the_float_range_are_a_config_error(self):
+        h = Histogram(
+            stratified_schema(),
+            {("a", "0", "z1"): 1, ("b", "1", "z1"): 1, ("a", "0", "z2"): 1, ("b", "1", "z2"): 1},
+        )
+        with pytest.raises(ConfigError, match="outcome coding"):  # 1.6e308 in each stratum
+            average_treatment_effect(h, RepairSpec("x", "y", ("s",)), {"0": 8e307, "1": 0.0}, x1="a", x0="b")
+
+    def test_an_overflow_in_a_stratum_without_overlap_is_not_used(self):
+        h = Histogram(
+            stratified_schema(),
+            {("a", "1", "z1"): 1, ("b", "0", "z1"): 1, ("a", "1", "z2"): 10},  # no b in z2
+        )
+        result = average_treatment_effect(h, RepairSpec("x", "y", ("s",)), {"0": 0.0, "1": 5e307}, x1="a", x0="b")
+        assert result.ate == 5e307 and result.skipped_strata == 1  # z2's coded sum, 5e308, is not a float
 
     def test_missing_outcome_coding_rejected(self):
         with pytest.raises(DataError):
