@@ -37,7 +37,7 @@ from .ingest import (
     synth_generate,
     synthetic_od_seed,
     taxi_preprocess,
-    text_lines,
+    text_chunks,
 )
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, pair_distances
 from .parallel import forked_map
@@ -218,7 +218,7 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
     if "neighborhoods_file" in obj:
         if "neighborhoods" in obj:
             raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
-        listed = "".join(text_lines(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
+        listed = "".join(text_chunks(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
         obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`

@@ -131,12 +131,13 @@ class AttributeSchema:
         columns = [np.array(domain, dtype=object)[positions[:, i]] for i, domain in enumerate(self.domains)]
         return list(zip(*columns)) if columns else [()] * len(positions)
 
-    def lex_rank(self, codes) -> np.ndarray:
-        """A number per bucket code that sorts like the bucket keys do, lexicographically."""
-        positions = self.label_positions(codes)
+    def lex_rank(self, codes, positions: np.ndarray | None = None) -> np.ndarray:
+        """A number per bucket code that sorts like the bucket keys do,
+        lexicographically; `positions`, when given, is label_positions(codes)."""
+        ranks = self.label_positions(codes) if positions is None else positions.copy()
         for i, rank in enumerate(self._label_ranks):
-            positions[:, i] = rank[positions[:, i]]
-        return positions @ self.strides
+            ranks[:, i] = rank[ranks[:, i]]
+        return ranks @ self.strides
 
     def index_of(self, key: Sequence[str]) -> int:
         """Row-major index of a bucket key within the global domain."""

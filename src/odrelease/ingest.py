@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import finite, labels, mapping, numbers, text_map
+from .config import finite, labels, mapping, numbers, text_map, whole
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, Histogram
 from .parallel import MAX_WORKERS, forked_map
@@ -189,9 +189,9 @@ class TaxiConfig:
         )
 
 
-# Rows per block of the columnar taxi ingest.  Blocks of 64k rows ran about
-# 1.8x slower than blocks of 2k, partly from cyclic-GC passes over the larger
-# transient lists.
+# Rows per block of the trips-CSV reader and the columnar taxi ingest.  On
+# one byte range of a 1M-row taxi CSV, blocks of 1k, 2k, 4k and 8k lines took
+# 0.49, 0.46, 0.45 and 0.45 s, each doubling adding about 3 MB of peak RSS.
 _BLOCK_ROWS = 2048
 _NUMBER_ROLES = (
     "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat", "trip_distance", "fare_amount", "tip_amount",
@@ -297,16 +297,19 @@ class _TaxiScan(NamedTuple):
     drivers: list[str]
 
 
-def _rows(records, names: Sequence[str]) -> tuple[Iterator[Sequence[str]], Sequence[str]]:
-    """The rows of records and their header: those of the UTF-8 CSV at records
-    when it is a path, else per mapping its values under names, by rec.get."""
+def _blocks(records, names: Sequence[str]) -> Iterator[list[list[str]]]:
+    """Per block of records, the stripped fields under each of names: those of
+    the UTF-8 CSV at records by _csv_blocks when it is a path, else per mapping
+    its values under names, by rec.get.  A CSV's header is read at once."""
     if isinstance(records, (str, os.PathLike)):
-        rows = csv.reader(text_lines(records))
-        return rows, next(rows, [])
-    return ([rec.get(name) or "" for name in names] for rec in records), names
+        header, chunks = _csv_header(text_chunks(records))
+        return _csv_blocks(chunks, header, names)
+    return _row_blocks(([rec.get(name) or "" for name in names] for rec in records), names, names)
 
 
-def _blocks(rows: Iterator[Sequence[str]], header: Sequence[str], names: Sequence[str]) -> Iterator[list[list[str]]]:
+def _row_blocks(
+    rows: Iterator[Sequence[str]], header: Sequence[str], names: Sequence[str]
+) -> Iterator[list[list[str]]]:
     """Per block of up to _BLOCK_ROWS rows, CSV rows under header, the stripped
     fields under each of names.  Each column is found by header index: the last
     duplicate header wins, a short row reads empty past its end, blank rows are
@@ -323,6 +326,56 @@ def _blocks(rows: Iterator[Sequence[str]], header: Sequence[str], names: Sequenc
         yield [stripped.get(name) or [""] * len(block) for name in names]
 
 
+def _csv_header(chunks: Iterator[str]) -> tuple[list[str], Iterator[str]]:
+    """The first row of the CSV text in chunks, parsed by csv, and the chunks
+    of the text after it."""
+    current = io.StringIO()
+
+    def lines():
+        nonlocal current
+        for chunk in chunks:
+            current = io.StringIO(chunk, newline="")
+            for line in current:  # not yield from, which would close current with this generator
+                yield line
+
+    header = next(csv.reader(lines()), [])
+    return header, itertools.chain([current.read()], chunks)
+
+
+def _csv_blocks(chunks: Iterator[str], header: Sequence[str], names: Sequence[str]) -> Iterator[list[list[str]]]:
+    """The blocks of _row_blocks for the CSV rows under header in chunks of
+    text, each chunk starting a row.
+
+    A chunk with no '"' whose every line ends in "\n" or "\r\n" is split at
+    commas _BLOCK_ROWS lines at a time, column i of a block being
+    fields[i::len(header)], when no line of the block is blank and each holds
+    len(header) fields and at most csv.field_size_limit() characters: then
+    these are the fields csv.reader gives.  csv.reader reads every other
+    block or chunk, and every chunk from the first one holding a '"' on, as a
+    quoted field may run on into the next chunk.
+    """
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    for chunk in chunks:
+        if '"' in chunk:
+            yield from _row_blocks(csv.reader(_lines(itertools.chain([chunk], chunks))), header, names)
+            return
+        text = chunk.replace("\r\n", "\n") if "\r" in chunk else chunk
+        if "\r" in text or not text.endswith("\n"):  # a bare "\r" ends a line, or the last line has no end
+            yield from _row_blocks(csv.reader(io.StringIO(chunk, newline="")), header, names)
+            continue
+        limit = csv.field_size_limit()
+        while text:
+            *lines, text = text.split("\n", _BLOCK_ROWS)
+            commas = list(map(str.count, lines, itertools.repeat(",")))
+            if "" in lines or max(map(len, lines)) > limit or commas.count(width - 1) < len(lines):
+                yield from _row_blocks(csv.reader(lines), header, names)
+                continue
+            fields = ",".join(lines).split(",")
+            yield [list(map(str.strip, fields[index[name] :: width])) if name in index else [""] * len(lines)
+                   for name in names]
+
+
 def _checked(stats: IngestStats, kind: str) -> IngestStats:
     """stats, unless over half the rows it counts are malformed or it retains none."""
     if stats.rows and stats.malformed > 0.5 * stats.rows:
@@ -332,11 +385,9 @@ def _checked(stats: IngestStats, kind: str) -> IngestStats:
     return stats
 
 
-def _scan_taxi(
-    lines: Iterator[Sequence[str]], header: Sequence[str], config: TaxiConfig, schema: AttributeSchema
-) -> _TaxiScan:
-    """Check, count and code the taxi rows of lines, CSV rows under header, a
-    block at a time, each role's column found by _blocks."""
+def _scan_taxi(blocks: Iterator[list[list[str]]], config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
+    """Check, count and code the taxi rows of blocks, each a block's fields
+    under the names of config.columns, as _blocks gives them."""
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
     strides = schema.strides.tolist()
@@ -346,7 +397,7 @@ def _scan_taxi(
     drivers: dict[str, int] = {}
     dates: dict[int, bool] = {}
     kept = []  # per block: the retained rows' codes without dist and freq, distances, driver positions
-    for block in _blocks(lines, header, list(config.columns.values())):
+    for block in blocks:
         n = len(block[0])
         column = dict(zip(config.columns, block))
         present = np.ones(n, dtype=bool)
@@ -447,13 +498,16 @@ def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
         yield rest
 
 
-def text_lines(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    """The lines of the UTF-8 text file at path, or of its bytes [start, stop),
-    split as in a file opened with newline="", from chunks decoded one at a
-    time.  The one reader of every trips, riders and neighbourhood file, so a
-    NUL byte in any of them is a DataError naming the file."""
-    chunks = _range_chunks(path, start, stop)
-    return itertools.chain.from_iterable(io.StringIO(chunk.decode("utf8"), newline="") for chunk in chunks)
+def text_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """The chunks of _range_chunks, each decoded as UTF-8 when it is reached.
+    The one reader of every trips, riders and neighbourhood file, so a NUL
+    byte in any of them is a DataError naming the file."""
+    return (chunk.decode("utf8") for chunk in _range_chunks(path, start, stop))
+
+
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text in chunks, split as in a file opened with newline=""."""
+    return itertools.chain.from_iterable(io.StringIO(chunk, newline="") for chunk in chunks)
 
 
 def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_TaxiScan]:
@@ -464,12 +518,12 @@ def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_T
     """
     starts = _range_starts(path)
     ranges = list(zip(starts, [*starts[1:], None]))
-    rows = csv.reader(text_lines(path, *ranges[0]))
-    header = next(rows, [])  # read before the workers fork
+    names = list(config.columns.values())
+    header, first = _csv_header(text_chunks(path, *ranges[0]))  # read before the workers fork
 
     def scan(byte_range: tuple[int, int | None]) -> _TaxiScan:
-        lines = rows if byte_range == ranges[0] else csv.reader(text_lines(path, *byte_range))
-        return _scan_taxi(lines, header, config, schema)
+        chunks = first if byte_range == ranges[0] else text_chunks(path, *byte_range)
+        return _scan_taxi(_csv_blocks(chunks, header, names), config, schema)
 
     return forked_map(scan, ranges)
 
@@ -489,14 +543,15 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     csv.DictReader among them.  Rows are checked a block at a time in numpy.
     A path is read in byte ranges: a CSV of 8 MiB or more with no '"' byte
     in four, by one process per CPU available (at most four), with the same
-    result, and any other CSV in one.  Any other iterable is read through
-    rec.get, one record at a time, so passing the path is the fast way to
-    read a file.
+    result, and any other CSV in one.  Each range is split at commas where
+    that gives the rows csv.reader would, and read by csv.reader elsewhere
+    (see _csv_blocks).  Any other iterable is read through rec.get, one
+    record at a time, so passing the path is the fast way to read a file.
     """
     schema = _taxi_schema(config)
     if isinstance(records, (str, os.PathLike)):
         return _taxi_result(_scan_taxi_csv(records, config, schema), schema)
-    return _taxi_result([_scan_taxi(*_rows(records, list(config.columns.values())), config, schema)], schema)
+    return _taxi_result([_scan_taxi(_blocks(records, list(config.columns.values())), config, schema)], schema)
 
 
 @dataclass(frozen=True)
@@ -561,14 +616,14 @@ def bike_preprocess(
     )
     rider_names = [config.rider_columns[role] for role in ("rider_id", "helmet", "gender")]
     survey = {}  # rider id: helmet, gender
-    for block in _blocks(*_rows(riders, rider_names), rider_names):
+    for block in _blocks(riders, rider_names):
         survey.update((rider, answers) for rider, *answers in zip(*block) if rider and all(answers))
 
     trip_names = [config.trip_columns[role] for role in ("rider_id", "start", "end", "time", "company")]
     domains = [set(domain) for domain in schema.domains]
     rows = dropped_missing = dropped_filtered = 0
     keys = []
-    for block in _blocks(*_rows(trips, trip_names), trip_names):
+    for block in _blocks(trips, trip_names):
         rows += len(block[0])
         for rider, start, end, time, company in zip(*block):
             if not (rider and start and end and time and company):
@@ -631,8 +686,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.mode not in ("uncorrelated", "correlated"):
             raise ConfigError(f"mode must be uncorrelated or correlated, got {self.mode!r}")
-        if self.trips <= 0:
-            raise ConfigError(f"trips must be positive, got {self.trips!r}")
+        if not 0 < self.trips < 2**63:
+            raise ConfigError(f"trips must be positive and below 2**63, got {self.trips!r}")
         if len(self.od_seed.schema.names) != 2:
             raise SchemaError("od_seed must be a two-attribute (origin, destination) histogram")
         dists = self.rating_distributions
@@ -707,6 +762,7 @@ def synthetic_od_seed(
     """
     if not 1 <= n_pairs <= n_neighborhoods * n_neighborhoods:
         raise ConfigError(f"n_pairs must be from 1 to n_neighborhoods**2, got {n_pairs}")
+    total = whole(total, "total")
     hoods = tuple(f"n{i:02d}" for i in range(n_neighborhoods))
     rng = substream(seed, "od-seed")
     flat = rng.choice(n_neighborhoods * n_neighborhoods, size=n_pairs, replace=False)

@@ -62,6 +62,8 @@ def percentile(values, pct: float) -> float:
     """Percentile with linear interpolation at rank 1 + pct/100 * (m - 1)."""
     if not np.size(values):
         raise EmptyInputError("percentile of an empty collection")
+    if not 0 <= pct <= 100:
+        raise ConfigError(f"percentile must be in [0, 100], got {pct!r}")
     return float(np.percentile(np.asarray(values, dtype=float), pct))
 
 

@@ -89,8 +89,8 @@ class PrivacyParams:
     def derive(cls, epsilon: float, rho: float, n: int) -> "PrivacyParams":
         """Compute tau from (epsilon, rho, n); n = 0 disables spurious bins."""
         _check_rho_epsilon(rho, epsilon)
-        if n < 0:
-            raise ConfigError(f"n must be nonnegative, got {n!r}")
+        if not (n >= 0 and n % 1 == 0):  # nan, inf and 2.5 fail too
+            raise ConfigError(f"n must be a nonnegative whole number, got {n!r}")
         tau = threshold(n, rho, epsilon) if n >= 1 else 0.0
         return cls(epsilon=epsilon, rho=rho, n=n, tau=tau)
 

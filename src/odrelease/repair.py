@@ -95,9 +95,11 @@ class ATEResult(NamedTuple):
     skipped_strata: int
 
 
-def _groupings(h: Histogram, spec: RepairSpec) -> tuple[Groups, Groups, Groups, Groups]:
-    """The buckets of h grouped by (x,z), (y,z), z and (x,y,z)."""
-    xyz, positions = (spec.x, spec.y, *spec.z), h.schema.label_positions(h.codes)
+def _groupings(h: Histogram, spec: RepairSpec, positions: np.ndarray | None = None) -> tuple[Groups, ...]:
+    """The buckets of h grouped by (x,z), (y,z), z and (x,y,z); `positions`,
+    when given, is h.schema.label_positions(h.codes)."""
+    xyz = (spec.x, spec.y, *spec.z)
+    positions = h.schema.label_positions(h.codes) if positions is None else positions
     return tuple(bucket_groups(h, attrs, positions) for attrs in ((spec.x, *spec.z), (spec.y, *spec.z), spec.z, xyz))
 
 
@@ -190,7 +192,8 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     if h.total <= 0:
         raise EmptyInputError("cannot repair an empty histogram")
     schema = h.schema
-    groupings = _groupings(h, spec)
+    positions = schema.label_positions(h.codes)
+    groupings = _groupings(h, spec, positions)
     margins = _margins(groupings, h.counts)
     xz, yz, z, xyz = margins
     frac = _quotients((h.counts, xz, yz), (z, xyz), h.integral)
@@ -199,7 +202,8 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
 
     if rounding == "largest_remainder":
         floors = np.floor(frac)
-        order = np.lexsort((schema.lex_rank(h.codes), floors - frac, groups.index))  # remainder desc, then key
+        key = schema.lex_rank(h.codes, positions)
+        order = np.lexsort((key, floors - frac, groups.index))  # remainder desc, then key
         group_of = groups.index[order]
         starts = np.searchsorted(group_of, np.arange(len(groups.codes)))
         ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]

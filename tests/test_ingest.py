@@ -307,6 +307,25 @@ class TestTaxiCsvRanges:
         trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
         assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
 
+    @pytest.mark.parametrize("chunk_bytes,rows", [(1, 60), (50, 60), (1 << 20, 9000)])
+    def test_a_quote_first_met_in_a_late_chunk_reads_like_its_dict_reader(self, tmp_path, monkeypatch,
+                                                                           chunk_bytes, rows):
+        path = tmp_path / "trips.csv"
+        quoted = b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d\n1"'  # the field holds a newline
+        (offset,) = trips_csv(path, [None, None, quoted, None], rows=rows)
+        assert offset > chunk_bytes  # split at commas up to the chunk holding the quote
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+        with open(path, newline="", encoding="utf8") as f:
+            want = taxi_preprocess(csv.DictReader(f), TaxiConfig())
+        got = taxi_preprocess(path, TaxiConfig())
+        assert (got.stats, got.histogram) == (want.stats, want.histogram)
+        assert got.stats.retained == 4 * rows + 1
+
+    def test_blank_lines_under_a_one_column_header_are_skipped(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(b"hack_license\nd1\n\n d2\r\n\r\n")
+        assert [column for block in ingest._blocks(path, ["hack_license"]) for column in block] == [["d1", "d2"]]
+
     def test_a_process_with_other_threads_scans_every_range_itself(self, tmp_path, monkeypatch):
         path = tmp_path / "trips.csv"
         trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])

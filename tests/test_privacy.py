@@ -11,6 +11,7 @@ from odrelease import (
     Histogram,
     PrivacyParams,
     RepairSpec,
+    SynthConfig,
     average_treatment_effect,
     binomial_sample,
     complement_sample,
@@ -21,6 +22,8 @@ from odrelease import (
     percentile,
     privatize,
     substream,
+    synth_generate,
+    synthetic_od_seed,
     threshold,
 )
 
@@ -43,6 +46,13 @@ ONE_EACH = {("a", "0"): 1, ("b", "1"): 1}
 
 @pytest.mark.parametrize("fn,args,error", [
     (percentile, ([], 50), EmptyInputError),
+    (percentile, ([1.0, 2.0], 200), ConfigError),
+    (percentile, ([1.0, 2.0], math.nan), ConfigError),
+    (PrivacyParams.derive, (1.0, 0.5, math.nan), ConfigError),  # would give tau = 0.0
+    (PrivacyParams.derive, (1.0, 0.5, 2.5), ConfigError),
+    (synthetic_od_seed, (10, 12, -1), ConfigError),
+    (synthetic_od_seed, (10, 12, 2**70), ConfigError),
+    (lambda trips: synth_generate(SynthConfig(synthetic_od_seed(10, 12, 100), trips)), (2**70,), ConfigError),
     (threshold, (10**400, 0.5, 1.0), ConfigError),
     (domain_size_for_threshold, (math.inf, 0.5, 1.0), ConfigError),
     (binomial_sample, (2**70, 0.5, substream(1, "b")), ConfigError),

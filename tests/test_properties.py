@@ -485,7 +485,8 @@ def csv_texts(draw, names, fields, spoiled):
     """CSV text under a header of names, of rows drawn from `fields` with 0-2
     fields spoiled (empty, padded, or drawn from `spoiled`: out of range or
     malformed), short and long rows, blank lines, and sometimes a duplicate,
-    a missing or an extra header column."""
+    a missing or an extra header column.  Lines end in "\r\n" or "\n", and
+    now and then one in a bare "\r"."""
     header = list(names)
     shape = draw(st.sampled_from(["plain", "plain", "duplicate", "missing", "extra"]))
     if shape == "duplicate":  # the later column of the name wins
@@ -512,13 +513,11 @@ def csv_texts(draw, names, fields, spoiled):
         elif kind == "long":
             row += ["extra", "fields"]
         lines.append([] if kind == "blank" else row)
+    ending = draw(st.sampled_from(["\r\n", "\n"]))
     out = io.StringIO()
-    writer = csv.writer(out)
     for line in lines:
-        if line:
-            writer.writerow(line)
-        else:
-            out.write("\r\n")
+        end = draw(st.sampled_from([ending] * 9 + ["\r"]))
+        csv.writer(out, lineterminator=end).writerow(line)  # a blank line is its end alone
     return out.getvalue()
 
 
@@ -547,7 +546,8 @@ def assert_same_result(got, want):
 
 
 def assert_same_ingest(text):
-    for records in (lambda: csv.DictReader(io.StringIO(text)), lambda: list(csv.DictReader(io.StringIO(text)))):
+    for records in (lambda: csv.DictReader(io.StringIO(text, newline="")),
+                    lambda: list(csv.DictReader(io.StringIO(text, newline="")))):
         assert_same_result(_ingest(taxi_preprocess, records()), _ingest(taxi_preprocess_per_row, records()))
 
 
