@@ -501,8 +501,15 @@ def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
 def text_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
     """The chunks of _range_chunks, each decoded as UTF-8 when it is reached.
     The one reader of every trips, riders and neighbourhood file, so a NUL
-    byte in any of them is a DataError naming the file."""
-    return (chunk.decode("utf8") for chunk in _range_chunks(path, start, stop))
+    byte or a byte that is not UTF-8 in any of them is a DataError naming
+    the file and, for the latter, its offset in the file."""
+    offset = start
+    for chunk in _range_chunks(path, start, stop):
+        try:
+            yield chunk.decode("utf8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {offset + exc.start}") from None
+        offset += len(chunk)
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -710,6 +717,46 @@ class SynthConfig:
         object.__setattr__(self, "rating_distributions", checked)
 
 
+# The doubles _draw takes from its generator at a time: its peak memory
+# beyond the output stays a few blocks' worth, whatever the number of draws.
+_DRAW_BLOCK = 1 << 15
+
+
+def _draw(rng: np.random.Generator, p, size: int) -> np.ndarray:
+    """rng.choice(len(p), size, p=p), bit for bit, leaving rng in the same
+    state, in the narrowest unsigned dtype that holds len(p) - 1.
+
+    Generator.choice turns one rng.random double u per draw into the first
+    index i with cdf[i] > u by a binary search over the whole cdf.  Here a
+    guide table (Chen & Asau 1974) of 2**ceil(log2(4 len(p))) equal bins
+    holds, for each bin, the first and last index that a u in it can give;
+    only a u whose bin spans several indices is searched, between those two,
+    in as many steps as the bit length of the widest bin.
+    """
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    bins = 1 << (4 * len(cdf) - 1).bit_length()
+    edges = np.arange(bins + 1) / bins  # exact: bins is a power of two
+    dtype = np.min_scalar_type(len(cdf) - 1)
+    first = np.searchsorted(cdf, edges[:-1], "right").astype(dtype)
+    last = np.searchsorted(cdf, edges[1:], "left").astype(dtype)
+    steps = int((last - first).max()).bit_length()
+    out = np.empty(size, dtype)
+    for start in range(0, size, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, size - start))
+        b = (u * bins).astype(np.intp)  # the bin of u, exactly
+        out[start:start + len(u)] = first[b]
+        if len(wide := np.flatnonzero(first[b] != last[b])):
+            u, b = u[wide], b[wide]
+            lo, hi = first[b].astype(np.intp), last[b].astype(np.intp)
+            for _ in range(steps):  # cdf[lo - 1] <= u < cdf[hi] throughout
+                mid = (lo + hi) >> 1
+                above = cdf[mid] > u
+                lo, hi = np.where(above, lo, mid + 1), np.where(above, mid, hi)
+            out[start + wide] = lo
+    return out
+
+
 def synth_generate(cfg: SynthConfig) -> Histogram:
     """Draw cfg.trips synthetic trips and aggregate them into a histogram.
 
@@ -723,17 +770,15 @@ def synth_generate(cfg: SynthConfig) -> Histogram:
     od_codes, p = od.codes[order], od.counts[order] / od.total
 
     rng = substream(cfg.seed, "synth")
-    od_idx = rng.choice(len(od_codes), size=cfg.trips, p=p)
+    od_idx = _draw(rng, p, cfg.trips)
     gender_idx = rng.integers(0, len(cfg.gender_domain), size=cfg.trips)
     if cfg.mode == "uncorrelated":
-        rating_idx = rng.choice(len(cfg.rating_domain), size=cfg.trips, p=cfg.rating_distributions)
+        rating_idx = _draw(rng, cfg.rating_distributions, cfg.trips)
     else:
-        rating_idx = np.zeros(cfg.trips, dtype=np.int64)
+        rating_idx = np.zeros(cfg.trips, dtype=np.min_scalar_type(len(cfg.rating_domain) - 1))
         for gi, g in enumerate(cfg.gender_domain):
             mask = gender_idx == gi
-            rating_idx[mask] = rng.choice(
-                len(cfg.rating_domain), size=int(mask.sum()), p=cfg.rating_distributions[g]
-            )
+            rating_idx[mask] = _draw(rng, cfg.rating_distributions[g], int(mask.sum()))
 
     schema = AttributeSchema(
         (
@@ -742,7 +787,12 @@ def synth_generate(cfg: SynthConfig) -> Histogram:
             ("rating", cfg.rating_domain),
         )
     )
-    codes = (od_codes[od_idx] * len(cfg.gender_domain) + gender_idx) * len(cfg.rating_domain) + rating_idx
+    codes = od_codes[od_idx]  # each trip's bucket code, built in place
+    codes *= len(cfg.gender_domain)
+    codes += gender_idx
+    codes *= len(cfg.rating_domain)
+    codes += rating_idx
+    del od_idx, gender_idx, rating_idx  # freed before np.unique sorts a copy of codes
     return Histogram.from_codes(schema, *np.unique(codes, return_counts=True))
 
 
@@ -760,6 +810,8 @@ def synthetic_od_seed(
     with a uniform floor (so tail strata keep workable mass), and assigns
     counts by one multinomial draw of `total` trips.
     """
+    if n_neighborhoods * n_neighborhoods >= 2**63:  # a domain AttributeSchema refuses: fail before building labels
+        raise ConfigError(f"n_neighborhoods**2 must be below 2**63, got n_neighborhoods {n_neighborhoods}")
     if not 1 <= n_pairs <= n_neighborhoods * n_neighborhoods:
         raise ConfigError(f"n_pairs must be from 1 to n_neighborhoods**2, got {n_pairs}")
     total = whole(total, "total")

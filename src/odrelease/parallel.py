@@ -22,16 +22,21 @@ def cpus_available() -> int:
 
 
 def forked_map(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], in contiguous chunks of items, one per
-    CPU available and at most MAX_WORKERS: this process runs the first chunk
-    and a forked worker each of the others.
+    """[fn(item) for item in items] on count processes, one per CPU available
+    and at most MAX_WORKERS, with the items dealt round-robin: process k runs
+    items k, k + count, ..., process 0 is this one and each other a forked
+    worker.  Dealt so, costs that grow or shrink along the items are shared
+    out evenly.
 
     A fork copies no thread but its caller's, so a process with other
     threads, or a platform without os.fork, runs every item here, in order.
-    If several items fail, the first failing item's error is raised, as a
-    serial run would raise it.  A worker that ends without a reply raises
-    ChildProcessError naming its chunk.  Every worker has ended, terminated
-    first if still running, by the time this returns or raises.
+    Each process stops at its first failing item, and the lowest failing
+    item's error is raised, as a serial run would raise it: at once if item 0
+    fails, or else once every worker has replied.  A worker that ends without
+    a reply counts as failing at its first item, with a ChildProcessError
+    naming its chunk (chunk k + 1 of count holds items k, k + count, ...).
+    Every worker has ended, terminated first if still running, by the time
+    this returns or raises.
     """
     count = min(cpus_available(), MAX_WORKERS, len(items))
     if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -39,27 +44,32 @@ def forked_map(fn: Callable, items: Sequence) -> list:
     import multiprocessing  # only here: about 10 ms to import
 
     context = multiprocessing.get_context("fork")
-    chunks = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]
     workers = []
     try:
-        for chunk in chunks[1:]:
+        for k in range(1, count):
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_reply, args=(send, fn, chunk))
+            worker = context.Process(target=_reply, args=(send, fn, items[k::count]))
             worker.start()
             send.close()
             workers.append((worker, receive))
-        results = [fn(item) for item in chunks[0]]
-        for i, (worker, receive) in enumerate(workers, 2):
+        done, error = _run(fn, items[::count])
+        if error is not None and not done:
+            raise error  # item 0 failed: no other item comes before it
+        shares = [(done, error)]
+        for k, (worker, receive) in enumerate(workers, 1):
             try:
-                ok, value = receive.recv()
+                shares.append(receive.recv())
             except EOFError:  # the worker died before it could reply
                 worker.join()
-                raise ChildProcessError(
-                    f"the worker running chunk {i} of {count} exited with code {worker.exitcode}"
-                ) from None
-            if not ok:
-                raise value
-            results.extend(value)
+                shares.append(([], ChildProcessError(
+                    f"the worker running chunk {k + 1} of {count} exited with code {worker.exitcode}"
+                )))
+        failed = {k + count * len(done): error for k, (done, error) in enumerate(shares) if error is not None}
+        if failed:
+            raise failed[min(failed)]
+        results = [None] * len(items)
+        for k, (done, _) in enumerate(shares):
+            results[k::count] = done
         return results
     finally:
         for worker, receive in workers:
@@ -69,11 +79,24 @@ def forked_map(fn: Callable, items: Sequence) -> list:
             worker.join()
 
 
-def _reply(send, fn, chunk) -> None:
-    """In a forked worker: send (True, [fn(item) for item in chunk]), or (False, the error that stopped it)."""
+def _run(fn, items) -> tuple[list, BaseException | None]:
+    """([fn(item) for item in items], None), or the results before the first
+    item that fails and its error."""
+    results = []
     try:
-        reply = (True, [fn(item) for item in chunk])
+        for item in items:
+            results.append(fn(item))
+    except Exception as exc:  # raised by forked_map once it knows no earlier item failed
+        return results, exc
+    return results, None
+
+
+def _reply(send, fn, items) -> None:
+    """In a forked worker: send _run(fn, items), or the error that escaped it
+    as failing at the first item."""
+    try:
+        reply = _run(fn, items)
     except BaseException as exc:  # sent back to be raised in the calling process
-        reply = (False, exc)
+        reply = ([], exc)
     send.send(reply)
     send.close()

@@ -12,6 +12,16 @@ the canonical order is built from the first draw of
 ``substream(seed, "spurious-value", j)``.  ``first_uniforms(seed, label,
 count)`` computes those draws for i = 0 .. count - 1 at once, bit for bit;
 a release must not change when it does.
+
+The synthetic trips of ``synth_generate`` all come from
+``substream(seed, "synth")``, in this order: one ``random()`` double per
+trip for its OD pair, one ``integers(0, len(gender_domain), trips)`` call
+for the genders, then one double per trip for its rating, over every trip
+in the uncorrelated mode or, in the correlated mode, over the trips of each
+gender in gender-domain order.  A double u picks the first index i of the
+normalized cumulative sum of the probabilities (OD pairs in key order) with
+cdf[i] > u: the value ``Generator.choice(n, size, p=p)`` gives, which
+synth_generate no longer calls but must still equal, bit for bit.
 """
 
 from __future__ import annotations

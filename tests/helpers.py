@@ -459,3 +459,35 @@ def bike_preprocess_per_row(trips, riders, config):
     retained = sum(counts.values())
     stats = IngestStats(rows, retained, dropped_missing, dropped_filtered, malformed)
     return IngestResult(Histogram(schema, counts), stats, tuple(warn_messages))
+
+
+def synth_generate_choice(cfg):
+    """synth_generate drawing its OD pairs and ratings by Generator.choice."""
+    od = cfg.od_seed
+    if od.total <= 0:
+        raise EmptyInputError("od_seed histogram is empty")
+    order = np.argsort(od.schema.lex_rank(od.codes))  # OD pairs in key order
+    od_codes, p = od.codes[order], od.counts[order] / od.total
+
+    rng = substream(cfg.seed, "synth")
+    od_idx = rng.choice(len(od_codes), size=cfg.trips, p=p)
+    gender_idx = rng.integers(0, len(cfg.gender_domain), size=cfg.trips)
+    if cfg.mode == "uncorrelated":
+        rating_idx = rng.choice(len(cfg.rating_domain), size=cfg.trips, p=cfg.rating_distributions)
+    else:
+        rating_idx = np.zeros(cfg.trips, dtype=np.int64)
+        for gi, g in enumerate(cfg.gender_domain):
+            mask = gender_idx == gi
+            rating_idx[mask] = rng.choice(
+                len(cfg.rating_domain), size=int(mask.sum()), p=cfg.rating_distributions[g]
+            )
+
+    schema = AttributeSchema(
+        (
+            *od.schema.attributes,
+            ("gender", cfg.gender_domain),
+            ("rating", cfg.rating_domain),
+        )
+    )
+    codes = (od_codes[od_idx] * len(cfg.gender_domain) + gender_idx) * len(cfg.rating_domain) + rating_idx
+    return Histogram.from_codes(schema, *np.unique(codes, return_counts=True))

@@ -4,6 +4,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -269,7 +270,7 @@ def range_of(path, offset):
 
 
 FAULTS = {  # a bad line, and the error a read of it raises
-    "not-utf8": (b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,d\xff", UnicodeDecodeError),
+    "not-utf8": (b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,d\xff", DataError),
     "long-field": (b"2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD," + b"d" * 200, csv.Error),
 }
 
@@ -370,6 +371,21 @@ class TestTaxiCsvRanges:
             assert multiprocessing.active_children() == []
         assert ended[0] == ended[1]
         assert ended[0] == (3, "data error", [])
+
+    @pytest.mark.parametrize("ranges", [1, 3])
+    def test_a_byte_that_is_not_utf8_is_a_data_error_naming_the_file_and_its_offset(self, tmp_path, monkeypatch,
+                                                                                    ranges):
+        path = tmp_path / "trips.csv"
+        line = FAULTS["not-utf8"][0]
+        (offset,) = trips_csv(path, [None, None, line])
+        read_in(monkeypatch, ranges)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 50)
+        assert range_of(path, offset) == ranges
+        assert offset - ingest._range_starts(path)[-1] > 50  # in a later chunk of the last range
+        bad = offset + line.index(b"\xff")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not UTF-8: invalid start byte at byte {bad}$"):
+            taxi_preprocess(path, TaxiConfig())
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("ranges,failing", [(2, (1, 2)), (3, (2, 3))])
     @pytest.mark.parametrize("first,second", [("not-utf8", "long-field"), ("long-field", "not-utf8")])

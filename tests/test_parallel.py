@@ -1,7 +1,6 @@
-"""parallel.forked_map: results in item order from one contiguous chunk per
-CPU, the serial run's error, and no worker left behind."""
+"""parallel.forked_map: results in item order from items dealt round-robin,
+one process per CPU, the serial run's error, and no worker left behind."""
 
-import itertools
 import os
 import threading
 import time
@@ -41,10 +40,9 @@ def test_results_come_back_in_item_order_from_one_process_per_chunk(on_cpus, cpu
     assert [item for item, _ in results] == list(range(items))
     pids = [pid for _, pid in results]
     count = min(cpus, MAX_WORKERS, items)
-    runs = [(pid, len(list(run))) for pid, run in itertools.groupby(pids)]
-    assert len(set(pids)) == len(runs) == count  # each process runs one contiguous chunk
-    assert [size for _, size in runs] == [items * (i + 1) // count - items * i // count for i in range(count)]
-    assert not pids or pids[0] == os.getpid()  # the first chunk runs in the caller
+    assert len(set(pids)) == count
+    assert pids == [pids[i % count] for i in range(items)]  # process k runs items k, k + count, ...
+    assert not pids or pids[0] == os.getpid()  # process 0 is the caller
     assert_no_child_left()
 
 
@@ -68,7 +66,7 @@ def test_the_first_failing_item_gives_the_error(on_cpus, cpus, first):
 def test_a_worker_that_dies_is_a_child_process_error_naming_its_chunk(on_cpus, cpus):
     on_cpus(cpus)
     count = min(cpus, MAX_WORKERS)
-    last = 8 * (count - 1) // count  # the first item of the last chunk
+    last = count - 1  # the first item of the last chunk: items count - 1, 2 * count - 1, ...
     with pytest.raises(ChildProcessError, match=f"chunk {count} of {count} exited with code 7"):
         forked_map(lambda item: os._exit(7) if item == last else item, range(8))
     assert_no_child_left()

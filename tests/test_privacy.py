@@ -52,6 +52,7 @@ ONE_EACH = {("a", "0"): 1, ("b", "1"): 1}
     (PrivacyParams.derive, (1.0, 0.5, 2.5), ConfigError),
     (synthetic_od_seed, (10, 12, -1), ConfigError),
     (synthetic_od_seed, (10, 12, 2**70), ConfigError),
+    (synthetic_od_seed, (2**40, 3), ConfigError),  # before building 2**40 labels
     (lambda trips: synth_generate(SynthConfig(synthetic_od_seed(10, 12, 100), trips)), (2**70,), ConfigError),
     (threshold, (10**400, 0.5, 1.0), ConfigError),
     (domain_size_for_threshold, (math.inf, 0.5, 1.0), ConfigError),

@@ -23,6 +23,7 @@ from odrelease import (
     PrivacyParams,
     RepairSpec,
     SchemaError,
+    SynthConfig,
     TaxiConfig,
     bike_preprocess,
     bootstrap_distances,
@@ -37,6 +38,7 @@ from odrelease import (
     read_histogram_csv,
     repair,
     support_union,
+    synth_generate,
     taxi_preprocess,
     write_histogram_csv,
 )
@@ -44,6 +46,7 @@ from odrelease import ingest, parallel
 from odrelease.histogram import align
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before, pair_distances
+from odrelease.rng import substream
 
 from helpers import (
     align_union1d,
@@ -59,6 +62,7 @@ from helpers import (
     ranking_lexsort,
     ranking_of,
     repair_object,
+    synth_generate_choice,
     taxi_preprocess_per_row,
 )
 
@@ -672,3 +676,88 @@ def test_bike_ingest_of_paths_and_mappings_equals_the_per_row_oracle(trips, ride
         assert_same_result(got, want)
         assert emitted == want_emitted
         assert isinstance(want, tuple) or got.warnings == want.warnings
+
+
+# One bin of _draw's guide table spans indices 0 to 3,999: 12 search steps.
+CLUSTERED_TAIL = [1 - 1e-9] + [1e-9 / 3999] * 3999
+PAST_ONE_BLOCK = 2 * ingest._DRAW_BLOCK + 1
+
+
+@st.composite
+def probabilities(draw, max_size=300):
+    """A probability vector from weights with zeros and 1e-300 entries."""
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-300, 1.0, 3.0]) | st.floats(0, 1e6), min_size=1,
+                            max_size=max_size))
+    assume(sum(weights) > 0)
+    return list(np.array(weights) / math.fsum(weights))
+
+
+@property_settings
+@given(probabilities(), st.sampled_from([0, 1, 3, 999, PAST_ONE_BLOCK]), st.integers(0, 2**31))
+@example(CLUSTERED_TAIL, PAST_ONE_BLOCK, 1)
+@example(CLUSTERED_TAIL[::-1], 999, 2)
+@example([1.0], 999, 3)
+@example([1e-300, 0.5, 0.0, 1e-300, 0.5, 0.0], PAST_ONE_BLOCK, 4)
+def test_draw_equals_generator_choice_and_leaves_the_same_state(p, size, seed):
+    want_rng, got_rng = substream(seed, "draw"), substream(seed, "draw")
+    want = want_rng.choice(len(p), size, p=p)
+    got = ingest._draw(got_rng, p, size)
+    assert got.dtype == np.min_scalar_type(len(p) - 1)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+class Replay:
+    """A stand-in generator whose random(n) returns the next n of the given doubles."""
+
+    def __init__(self, doubles):
+        self.doubles = np.asarray(doubles, dtype=np.float64)
+
+    def random(self, n):
+        out, self.doubles = self.doubles[:n], self.doubles[n:]
+        return out
+
+
+@pytest.mark.parametrize("p", [[0.25, 0.0, 0.25, 0.5], [1e-300, 0.5, 1e-300, 0.5], [0.1] * 10, CLUSTERED_TAIL])
+def test_draw_gives_a_double_on_a_cdf_value_or_bin_edge_the_index_choice_does(p):
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    bins = 1 << (4 * len(p) - 1).bit_length()
+    ties = np.concatenate([cdf, np.arange(bins) / bins])
+    doubles = np.unique(np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1), [1 - 2.0**-53]]))
+    doubles = doubles[(doubles >= 0) & (doubles < 1)]
+    with mock.patch.object(ingest, "_DRAW_BLOCK", 7):
+        got = ingest._draw(Replay(doubles), p, len(doubles))
+    assert np.array_equal(got, np.searchsorted(cdf, doubles, side="right"))  # Generator.choice's rule
+
+
+@st.composite
+def synth_configs(draw):
+    """A SynthConfig over an OD seed of 1 to 324 pairs, with ratings that may hold zeros."""
+    hoods = tuple(f"n{i}" for i in range(draw(st.integers(1, 18))))
+    schema = AttributeSchema((("origin", hoods), ("destination", hoods)))
+    counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 10**6), min_size=len(hoods) ** 2,
+                           max_size=len(hoods) ** 2))
+    assume(any(counts))
+    genders = ("m", "f", "o")[:draw(st.integers(1, 3))]
+    ratings = tuple(str(r) for r in range(draw(st.integers(1, 6))))
+
+    def rating_distribution():
+        weights = draw(st.lists(st.integers(0, 9), min_size=len(ratings), max_size=len(ratings)))
+        assume(any(weights))
+        return tuple(w / sum(weights) for w in weights)
+
+    mode = draw(st.sampled_from(["uncorrelated", "correlated"]))
+    dists = rating_distribution() if mode == "uncorrelated" else {g: rating_distribution() for g in genders}
+    return SynthConfig(Histogram.from_codes(schema, np.arange(len(counts)), counts), draw(st.integers(1, 500)),
+                       mode, genders, ratings, dists, draw(st.integers(0, 2**31)))
+
+
+@property_settings
+@given(synth_configs(), st.sampled_from([1, 2, 3, ingest._DRAW_BLOCK]))
+def test_synth_generate_equals_the_choice_oracle(cfg, block):
+    with mock.patch.object(ingest, "_DRAW_BLOCK", block):
+        got = synth_generate(cfg)
+    want = synth_generate_choice(cfg)
+    assert got.schema == want.schema
+    assert np.array_equal(got.codes, want.codes) and np.array_equal(got.counts, want.counts)
