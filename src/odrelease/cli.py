@@ -532,7 +532,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:  # an OSError names its path: an input not read, an --out not made
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, UnicodeDecodeError, csv.Error) as exc:  # a CSV that is not UTF-8 or has an overlong field
+    except (DataError, csv.Error) as exc:  # csv.Error: a CSV the csv module cannot parse, such as an overlong field
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,6 +11,7 @@ every (count desc, key asc) order is sorted by one helper, rank_by_count.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -449,8 +450,15 @@ def write_histogram_csv(h: Histogram, path) -> None:
 
 
 def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
-    """Inverse of write_histogram_csv; mode is inferred from the count column."""
-    with open(path, newline="", encoding="utf8") as f:
+    """Inverse of write_histogram_csv; mode is inferred from the count column.
+
+    The file is decoded whole, so a byte that is not UTF-8 is a DataError
+    naming its offset in the file."""
+    try:
+        text = Path(path).read_bytes().decode("utf8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    with io.StringIO(text, newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -7,6 +7,15 @@ position i), and Hellinger distance compares the normalized distributions
 histogram and reports the 2.5th percentile, mean, and 97.5th percentile of
 the resample distances, the natural-variation yardstick against which a
 repair or release is judged.
+
+pwkt counts, for each position, the earlier items that are also earlier in
+the other ranking.  Two exact kernels give the same integers.  When both
+counts take few distinct values, as in a bootstrap replicate, the items
+fall in few (reference count, other count) cells, and tables over those
+cells and over 32-item blocks of each count group answer every position at
+once.  Otherwise a bottom-up merge sort over the other ranking counts them.
+The path is chosen from the input alone: the cell tables are used while
+they hold at most _CELL_ENTRIES_PER_ITEM entries per item.
 """
 
 from __future__ import annotations
@@ -64,7 +73,13 @@ def percentile(values, pct: float) -> float:
         raise EmptyInputError("percentile of an empty collection")
     if not 0 <= pct <= 100:
         raise ConfigError(f"percentile must be in [0, 100], got {pct!r}")
-    return float(np.percentile(np.asarray(values, dtype=float), pct))
+    try:
+        values = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise DataError("percentile of an integer past the float range") from None
+    if not np.isfinite(values).all():
+        raise DataError("percentile of a value that is not finite")
+    return float(np.percentile(values, pct))
 
 
 def _position_weights(m: int, weighting: str) -> np.ndarray:
@@ -124,8 +139,144 @@ def _exact_sum(values: np.ndarray) -> float:
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
-def _pwkt_from_vectors(other_counts: np.ndarray, key_order: np.ndarray, weights: np.ndarray) -> float:
-    """pwkt of items given in reference ranking order against their `other` counts.
+# The cell kernel runs while its three tables hold at most this many entries
+# per item in all; past that the merge is faster.  Best of 9 runs of each
+# kernel alone on a shared 2-core x86-64 machine (numpy 2.4.6), with Pareto
+# reference counts scaled to spread them and multinomial samples at m =
+# 5,000, 20,000 and 60,000: the cell kernel took 0.45-0.82 of the merge's
+# time at 2.6-5.9 entries per item, 0.89-0.98 at 7.6-8.9 and 1.05-1.35 at
+# 11.1-12.3.  The seed-11 M bootstrap needs 4.1 entries per item, the taxi-l
+# histogram's 12.8.
+_CELL_ENTRIES_PER_ITEM = 8
+
+_SWAR = tuple(np.uint32(v) for v in (0x55555555, 0x33333333, 0x0F0F0F0F, 0x01010101))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The set bits of each uint32, by the SWAR sum of adjacent bit fields; x is overwritten."""
+    m1, m2, m4, h01 = _SWAR
+    x -= (x >> 1) & m1
+    x = (x & m2) + ((x >> 2) & m2)
+    x += x >> 4
+    x &= m4
+    x *= h01  # the byte sums add up in the top byte; the product wraps
+    x >>= 24
+    return x
+
+
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted values, each one's rank among the distinct values (int32, from 0)
+    and the index at which each distinct value starts."""
+    new = np.empty(len(values), dtype=bool)
+    new[0] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    ranks = np.cumsum(new, dtype=np.int32)
+    ranks -= 1
+    return ranks, np.flatnonzero(new).astype(np.int32)
+
+
+def _dominated_before(starts: np.ndarray, value: np.ndarray, bound: np.ndarray, width: int) -> np.ndarray:
+    """For each item, the number of earlier items of its group whose value is below its bound.
+
+    Items are listed group after group, starts holding each group's first
+    index, and value and bound lie in [0, width].  Each group is cut into
+    blocks of 32 items.  Earlier blocks are counted from a table of
+    (block, value) counts summed over blocks and over values, less the sum
+    at the group's first block.  The item's own block is counted from a
+    table of (block, value) bit masks, bit k standing for the block's item
+    k: summed over values, which is exact in float64 since no two items
+    share a bit, masked to the bits below the item's and popcounted.
+    """
+    m = len(value)
+    sizes = np.diff(starts, append=m)
+    first = np.zeros(len(starts) + 1, dtype=np.int32)  # each group's first block
+    np.cumsum((sizes + 31) >> 5, out=first[1:])
+    blocks, w = int(first[-1]), width + 1
+    offset = np.arange(m, dtype=np.int32)
+    offset -= np.repeat(starts, sizes)
+    group_first = np.repeat(first[:-1], sizes)
+    block = offset >> 5
+    block += group_first
+    cell = block * w
+    cell += value
+    counts = np.bincount(cell + (w + 1), minlength=(blocks + 1) * w).reshape(blocks + 1, w)
+    np.cumsum(counts, axis=0, out=counts)
+    np.cumsum(counts, axis=1, out=counts)
+    block *= w
+    block += bound
+    group_first *= w
+    group_first += bound
+    counts = counts.ravel()
+    earlier = counts.take(block)
+    earlier -= counts.take(group_first)
+    del counts, group_first
+    bits = np.ldexp(1.0, offset & 31)
+    masks = np.bincount(cell + 1, weights=bits, minlength=blocks * w).reshape(blocks, w)
+    np.cumsum(masks, axis=1, out=masks)
+    own = masks.ravel().take(block).astype(np.uint32)
+    bits -= 1.0
+    own &= bits.astype(np.uint32)
+    earlier += _popcount(own)
+    return earlier
+
+
+def _smaller_before_cells(ref_counts: np.ndarray, other_counts: np.ndarray, order: np.ndarray,
+                          sigma: np.ndarray) -> np.ndarray | None:
+    """_smaller_before(sigma) from the (reference count, other count) cells, or
+    None when its tables would hold more than _CELL_ENTRIES_PER_ITEM entries per item.
+
+    Items come in the reference ranking, with their counts in ref_counts
+    and other_counts; order lists them in the `other` ranking and sigma
+    gives each item's 1-based position there.  Both rankings break
+    ties by key, so an earlier item i is before item j in both exactly when
+      - i's reference count and other count are both higher (D_j), or
+      - they share a reference count and i's other count is no lower (Row_j), or
+      - they share an other count and i's reference count is higher (Col_j).
+    D_j is one lookup in the 2-D exclusive cumulative sum of the table of
+    cell sizes, over the dense ranks of both counts.  Row_j and Col_j come
+    from _dominated_before: Row over the reference groups in reference
+    order, Col over the other-count groups in the `other` order, each with
+    values ranked within the group.  Indices are int32, so the tables must
+    stay under 2**31 entries.
+    """
+    m = len(sigma)
+    if m * _CELL_ENTRIES_PER_ITEM >= 2**31:
+        return None
+    ref_rank, ref_starts = _dense_ranks(ref_counts)
+    other_rank_sorted, other_starts = _dense_ranks(other_counts.take(order))
+    n_ref, n_other = len(ref_starts), len(other_starts)
+    budget = _CELL_ENTRIES_PER_ITEM * m - (n_ref + 1) * (n_other + 1)
+    if budget < 0:
+        return None
+    other_rank = other_rank_sorted.take(sigma - 1)
+    cell = ref_rank * (n_other + 1)  # the cell's entry, less one row and one column
+    cell += other_rank
+    table = np.bincount(cell + (n_other + 2), minlength=(n_ref + 1) * (n_other + 1)).reshape(n_ref + 1, n_other + 1)
+    occupied = table > 0
+    row_rank = np.cumsum(occupied, axis=1, dtype=np.int32)  # 1-based, within each row
+    col_rank = np.cumsum(occupied, axis=0, dtype=np.int32)
+    del occupied
+    row_width, col_width = int(row_rank[:, -1].max()), int(col_rank[-1].max())
+    row_blocks = int(((np.diff(ref_starts, append=m) + 31) >> 5).sum())
+    col_blocks = int(((np.diff(other_starts, append=m) + 31) >> 5).sum())
+    if (row_blocks + 1) * (row_width + 1) + (col_blocks + 1) * (col_width + 1) > budget:
+        return None
+    row_value = row_rank.ravel().take(cell + (n_other + 2))
+    col_value = col_rank.ravel().take((cell + (n_other + 2)).take(order))
+    del row_rank, col_rank
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    smaller = table.ravel().take(cell)
+    del table, cell
+    smaller += _dominated_before(ref_starts, row_value - 1, row_value, row_width)
+    col_value -= 1
+    smaller += _dominated_before(other_starts, col_value, col_value, col_width).take(sigma - 1)
+    return smaller
+
+
+def _pwkt_from_vectors(ref_counts: np.ndarray, other_counts: np.ndarray, key_order: np.ndarray,
+                       weights: np.ndarray) -> float:
+    """pwkt of items given in reference ranking order, with their reference and `other` counts.
 
     key_order lists the items in key order and weights holds the position
     weights, both computed once for every `other` over the same reference.
@@ -134,16 +285,25 @@ def _pwkt_from_vectors(other_counts: np.ndarray, key_order: np.ndarray, weights:
     participation per position.  Position j (0-based) is inverted with the
     j - L_j earlier larger items and the sigma_j - 1 - L_j later smaller
     ones, where sigma_j is item j's position in the `other` ranking and L_j
-    counts the earlier smaller items.  sigma is int32 while it can be, which
-    halves the merge's memory traffic.
+    counts the earlier smaller items.
+
+    L comes from the (reference count, other count) cell tables of
+    _smaller_before_cells while they hold at most _CELL_ENTRIES_PER_ITEM
+    entries per item, as they do when both counts take few distinct values,
+    and from the merge of _smaller_before otherwise.  Both give the same
+    integers.  sigma is int32 while it can be, which halves the merge's
+    memory traffic.
     """
     m = len(other_counts)
     if m <= 1:
         return 0.0
+    order = rank_by_count(other_counts, key_order)
     sigma = np.empty(m, dtype=np.int32 if m < 2**31 else np.int64)
-    sigma[rank_by_count(other_counts, key_order)] = np.arange(1, m + 1)
-    smaller = _smaller_before(sigma).astype(np.int64)
-    participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller
+    sigma[order] = np.arange(1, m + 1)
+    smaller = _smaller_before_cells(ref_counts, other_counts, order, sigma)
+    if smaller is None:
+        smaller = _smaller_before(sigma)
+    participation = np.arange(m, dtype=np.int64) + sigma - 1 - 2 * smaller.astype(np.int64, copy=False)
     return 0.5 * _exact_sum(weights * participation)
 
 
@@ -155,8 +315,8 @@ def pwkt(reference: Histogram, other: Histogram, weighting: str = "harmonic") ->
     the average of the harmonic weights of its two reference positions, so
     disagreement near the top of the reference ranking dominates.
     """
-    codes, _, other_counts, key_order = align(reference, other)
-    return _pwkt_from_vectors(other_counts, key_order, _position_weights(len(codes), weighting))
+    codes, ref_counts, other_counts, key_order = align(reference, other)
+    return _pwkt_from_vectors(ref_counts, other_counts, key_order, _position_weights(len(codes), weighting))
 
 
 def _hellinger_from_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -181,7 +341,7 @@ def pair_distances(reference: Histogram, other: Histogram) -> dict[str, float]:
     """pwkt(reference, other) and hellinger(reference, other), bit for bit, from one align."""
     codes, ref, oth, key_order = align(reference, other)
     return {
-        "pwkt": _pwkt_from_vectors(oth, key_order, _position_weights(len(codes), "harmonic")),
+        "pwkt": _pwkt_from_vectors(ref, oth, key_order, _position_weights(len(codes), "harmonic")),
         "hellinger": _hellinger_from_counts(reference, other, ref, oth),
     }
 
@@ -237,8 +397,9 @@ def bootstrap_distances(
     resolved = {name: _resolve_metric(metric) for name, metric in metrics.items()}
 
     codes, counts, _, key_order = align(h, h)  # h in its own ranking, (count desc, key asc)
-    counts, total = counts.astype(float), int(h.total)
-    probs = counts / counts.sum()
+    total = int(h.total)
+    probs = counts.astype(float)
+    probs /= probs.sum()
     weights = _position_weights(len(h), "harmonic")
 
     streams = [substream(seed, "bootstrap", r) for r in range(replicates)]
@@ -249,7 +410,7 @@ def bootstrap_distances(
         distances = []
         for metric in resolved.values():
             if metric == "pwkt":
-                distances.append(_pwkt_from_vectors(sample, key_order, weights))
+                distances.append(_pwkt_from_vectors(counts, sample, key_order, weights))
             elif metric == "hellinger":
                 distances.append(_hellinger_from_vectors(probs, sample / total))
             else:

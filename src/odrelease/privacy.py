@@ -36,7 +36,7 @@ _MAX_LOG = -math.log(np.finfo(float).tiny)
 def _check_rho_epsilon(rho: float, epsilon: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"rho must be in (0, 1), got {rho!r}")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+    if not 0.0 < epsilon <= sys.float_info.max:  # compared, not converted: an int may be past the float range
         raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not math.isfinite(2.0 * _MAX_LOG / epsilon):
         raise ConfigError(f"epsilon {epsilon!r} is so small that noise of scale 1/epsilon overflows")
@@ -67,8 +67,8 @@ def threshold(n: int, rho: float, epsilon: float) -> float:
 def domain_size_for_threshold(tau: float, rho: float, epsilon: float) -> float:
     """Inverse of threshold() in n: the unseen-bin count that yields tau."""
     _check_rho_epsilon(rho, epsilon)
-    if not tau >= 0:
-        raise ConfigError(f"tau must be nonnegative, got {tau!r}")
+    if not 0 <= tau <= sys.float_info.max:
+        raise ConfigError(f"tau must be nonnegative and finite, got {tau!r}")
     tail = math.log1p(-0.5 * math.exp(-epsilon * tau))
     n = math.log(rho) / tail if tail else math.inf
     if not math.isfinite(n):
@@ -137,15 +137,17 @@ def _exponential(mean: float, uniform):
 
 def laplace_sample(location: float, scale: float, rng: np.random.Generator, size=None):
     """Laplace draw(s) via inverse CDF on a uniform; scale is the diversity b."""
-    if not 0 < scale < math.inf:
+    if not 0 < scale <= sys.float_info.max:
         raise ConfigError(f"scale must be positive and finite, got {scale!r}")
+    if not abs(location) <= sys.float_info.max:
+        raise ConfigError(f"location must be finite, got {location!r}")
     value = _laplace(location, scale, rng.random(size))
     return float(value) if size is None else value
 
 
 def exponential_sample(mean: float, rng: np.random.Generator, size=None):
     """Exponential draw(s) with the given mean (rate 1/mean)."""
-    if not 0 < mean < math.inf:
+    if not 0 < mean <= sys.float_info.max:
         raise ConfigError(f"mean must be positive and finite, got {mean!r}")
     value = _exponential(mean, rng.random(size))
     return float(value) if size is None else value

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -393,6 +394,16 @@ class TestCsv:
         path = tmp_path / "h.csv"
         path.write_text(f"first,second,count\na,0,{raw}\nb,1,2\n")
         with pytest.raises(DataError):
+            read_histogram_csv(path, two_attr_schema())
+
+    def test_a_byte_that_is_not_utf8_is_a_data_error_naming_the_file_and_its_offset(self, tmp_path):
+        # keys repeat from the third row on: the bad byte is found before any row is read
+        rows = "".join(f"{'ab'[i % 2]},{i % 2},{i + 1}\n" for i in range(20_000))
+        data = ("first,second,count\n" + rows).encode() + b"\xff,0,1\n"
+        path = tmp_path / "h.csv"
+        path.write_bytes(data)
+        assert len(data) > 2 * 65536  # past any one read buffer
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not UTF-8: invalid start byte at byte {len(data) - 6}$"):
             read_histogram_csv(path, two_attr_schema())
 
     def test_header_mismatch_rejected(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from odrelease import (
     AttributeSchema,
     ConfigError,
+    DataError,
     EmptyInputError,
     Histogram,
     SchemaError,
@@ -184,6 +185,11 @@ class TestPercentile:
         values = [4.0, 1.0, 3.0]
         assert percentile(values, 0.0) == 1.0
         assert percentile(values, 100.0) == 4.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400])
+    def test_a_value_that_is_not_a_finite_float_is_a_data_error(self, bad):
+        with pytest.raises(DataError, match="^percentile of "):
+            percentile([1.0, bad], 50)
 
 
 class TestBootstrap:

@@ -61,6 +61,16 @@ ONE_EACH = {("a", "0"): 1, ("b", "1"): 1}
     (derive_seed, (math.inf, "x"), ConfigError),
     (laplace_sample, (0.0, math.nan, substream(1, "l")), ConfigError),
     (exponential_sample, (math.inf, substream(1, "e")), ConfigError),
+    # a Python integer past the float range, compared before any conversion
+    (threshold, (10, 0.5, 10**400), ConfigError),
+    (domain_size_for_threshold, (10**400, 0.5, 1.0), ConfigError),
+    (PrivacyParams.derive, (10**400, 0.5, 10), ConfigError),
+    (laplace_sample, (10**400, 1.0, substream(1, "l")), ConfigError),
+    (laplace_sample, (0.0, 10**400, substream(1, "l")), ConfigError),
+    (exponential_sample, (10**400, substream(1, "e")), ConfigError),
+    # a location that is not finite gives a draw that is not finite
+    (laplace_sample, (math.inf, 1.0, substream(1, "l")), ConfigError),
+    (laplace_sample, (math.nan, 1.0, substream(1, "l")), ConfigError),
     (average_treatment_effect, ate_args({("a", "0"): 2, ("a", "1"): 1, ("b", "0"): 1, ("b", "1"): 2},
                                         {"0": 0.0, "1": math.inf}), ConfigError),
     # a finite code whose product with a count, stratum difference or weighted difference overflows

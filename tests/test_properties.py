@@ -42,10 +42,17 @@ from odrelease import (
     taxi_preprocess,
     write_histogram_csv,
 )
-from odrelease import ingest, parallel
-from odrelease.histogram import align
+from odrelease import ingest, metrics, parallel
+from odrelease.histogram import align, rank_by_count
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
-from odrelease.metrics import _exact_sum, _position_weights, _pwkt_from_vectors, _smaller_before, pair_distances
+from odrelease.metrics import (
+    _exact_sum,
+    _position_weights,
+    _pwkt_from_vectors,
+    _smaller_before,
+    _smaller_before_cells,
+    pair_distances,
+)
 from odrelease.rng import substream
 
 from helpers import (
@@ -135,26 +142,76 @@ def test_bootstrap_fast_path_matches_public_metrics(h, seed):
     assert np.allclose(d["hellinger"], d["hellinger_fn"], rtol=0, atol=1e-12)
 
 
+def count_vectors(m: int):
+    """Counts of m items: from a few values, so ties are common, or spread
+    over many; whole counts from an offset that puts them below, across or
+    above 2**16 or past 2**40, or fractional ones.  Zero counts stand for
+    buckets that only the other histogram holds."""
+    few_whole = st.lists(st.sampled_from([0, 1, 2, 5, 2**16]), min_size=m, max_size=m)
+    whole = st.one_of(few_whole, st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
+    offsets = st.sampled_from([0, 0, 2**16 - 3, 70_000, 2**40])
+    fractional = st.lists(st.sampled_from([0.0, 0.5, 1.2, 1.5, 1.7, 3.0]), min_size=m, max_size=m)
+    return st.one_of(
+        st.builds(lambda values, offset: np.array(values, dtype=np.int64) + offset, whole, offsets),
+        fractional.map(np.array),
+    )
+
+
 @st.composite
-def count_vectors(draw):
-    """Counts over 2-80 items from a few values, so ties are common: whole
-    counts from an offset that puts them below, across or above 2**16, or
-    fractional ones."""
-    m = draw(st.integers(2, 80))
-    if draw(st.booleans()):
-        offset = draw(st.sampled_from([0, 2**16 - 3, 70_000, 2**40]))
-        values = draw(st.lists(st.sampled_from([0, 1, 2, 5, 2**16]), min_size=m, max_size=m))
-        return np.array(values, dtype=np.int64) + offset
-    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.2, 1.5, 1.7, 3.0]), min_size=m, max_size=m))
-    return np.array(values)
+def count_pairs_in_align_order(draw):
+    """Reference and other counts of 2-300 items in align's order, (reference
+    count desc, key asc), and each item's key rank."""
+    m = draw(st.integers(2, 300))
+    ref, other = draw(count_vectors(m)), draw(count_vectors(m))
+    key_rank = np.array(draw(st.randoms(use_true_random=False)).sample(range(10 * m), m))
+    order = np.lexsort((key_rank, -ref))
+    return ref[order], other[order], key_rank[order]
+
+
+def in_other_ranking(other, key_rank):
+    """The items listed in the other ranking, and each item's 1-based position there."""
+    order = rank_by_count(other, np.argsort(key_rank))
+    sigma = np.empty(len(other), dtype=np.int32)
+    sigma[order] = np.arange(1, len(other) + 1)
+    return order, sigma
 
 
 @property_settings
-@given(count_vectors(), st.randoms(use_true_random=False), st.sampled_from(sorted(WEIGHTS)))
-def test_pwkt_kernel_equals_the_lexsort_oracle_bit_for_bit(counts, random, weighting):
-    key_rank = np.array(random.sample(range(10 * len(counts)), len(counts)))
-    fast = _pwkt_from_vectors(counts, np.argsort(key_rank), _position_weights(len(counts), weighting))
-    assert fast.hex() == pwkt_kernel_lexsort(counts, key_rank, weighting).hex()
+@given(count_pairs_in_align_order())
+@example((np.zeros(64, dtype=np.int64), np.arange(64) % 5, np.arange(64)))  # one reference group of 2 blocks
+def test_cell_kernel_equals_the_merge_bit_for_bit(pair):
+    ref, other, key_rank = pair
+    order, sigma = in_other_ranking(other, key_rank)
+    cells = _smaller_before_cells(ref, other, order, sigma)
+    if cells is not None:
+        assert cells.tolist() == _smaller_before(sigma).tolist()
+
+
+@pytest.mark.parametrize("shape,merged", [("narrow", False), ("wide cells", True), ("wide blocks", True)])
+def test_pwkt_takes_the_cell_kernel_only_while_its_tables_fit(monkeypatch, shape, merged):
+    m = 400
+    random = np.random.default_rng(5)
+    if shape == "narrow":  # 5 x 7 cells, reference groups of 3 blocks and other groups of 2 or 3
+        ref, other = np.repeat([40, 30, 20, 10, 0], m // 5), random.integers(0, 7, m)
+    elif shape == "wide cells":  # (m + 1)**2 cells
+        ref, other = np.arange(m, 0, -1), random.permutation(m)
+    else:  # 2 x (m + 1) cells, but m values in one reference group of 13 blocks
+        ref, other = np.zeros(m, dtype=np.int64), random.permutation(m)
+    merges = []
+    monkeypatch.setattr(metrics, "_smaller_before", lambda sigma: merges.append(sigma) or _smaller_before(sigma))
+    key_rank = np.arange(m)
+    fast = _pwkt_from_vectors(ref, other, np.argsort(key_rank), _position_weights(m, "harmonic"))
+    assert len(merges) == merged
+    assert fast.hex() == pwkt_kernel_lexsort(other, key_rank).hex()
+    assert (_smaller_before_cells(ref, other, *in_other_ranking(other, key_rank)) is None) == merged
+
+
+@property_settings
+@given(count_pairs_in_align_order(), st.sampled_from(sorted(WEIGHTS)))
+def test_pwkt_kernel_equals_the_lexsort_oracle_bit_for_bit(pair, weighting):
+    ref, other, key_rank = pair
+    fast = _pwkt_from_vectors(ref, other, np.argsort(key_rank), _position_weights(len(other), weighting))
+    assert fast.hex() == pwkt_kernel_lexsort(other, key_rank, weighting).hex()
 
 
 @st.composite
