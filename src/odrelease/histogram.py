@@ -123,8 +123,18 @@ class AttributeSchema:
         return np.array(positions, dtype=np.int64).reshape(-1, len(self.names)) @ self.strides
 
     def label_positions(self, codes) -> np.ndarray:
-        """The (bucket, attribute) label positions of row-major bucket codes."""
-        return np.asarray(codes, dtype=np.int64)[:, None] // self.strides % np.array(self.shape, dtype=np.int64)
+        """The (bucket, attribute) label positions of row-major bucket codes,
+        codes // strides % shape.  One attribute at a time from the last, the
+        position is the remainder of the codes' quotient by the later sizes:
+        division by one scalar, which numpy does without a hardware divide
+        per element."""
+        rest = np.asarray(codes, dtype=np.int64)
+        positions = np.empty((len(rest), len(self.shape)), dtype=np.int64)
+        for i in reversed(range(len(self.shape))):
+            quotient = rest // self.shape[i]
+            np.subtract(rest, quotient * self.shape[i], out=positions[:, i])
+            rest = quotient
+        return positions
 
     def keys_at(self, codes) -> list[BucketKey]:
         """Bucket keys of row-major codes."""

@@ -79,7 +79,11 @@ def percentile(values, pct: float) -> float:
         raise DataError("percentile of an integer past the float range") from None
     if not np.isfinite(values).all():
         raise DataError("percentile of a value that is not finite")
-    return float(np.percentile(values, pct))
+    with np.errstate(over="raise"):
+        try:
+            return float(np.percentile(values, pct))
+        except FloatingPointError:  # two neighbours more than the float range apart: halving them is exact
+            return 2.0 * float(np.percentile(values / 2.0, pct))
 
 
 def _position_weights(m: int, weighting: str) -> np.ndarray:
@@ -117,13 +121,18 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
 
 
 def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()), the correctly rounded sum, for nonnegative finite floats.
+    """math.fsum(values.tolist()), the correctly rounded sum, for finite floats of either sign.
 
-    Each value is a 53-bit integer mantissa times a power of two, and the
-    mantissa is cut into a high 27-bit and a low 26-bit half.  np.bincount
-    sums each half per exponent, exactly while no more than 2**26 values
-    are summed; Python integers add those sums up, and one integer true
-    division rounds the total, subnormal results included.
+    Each value is a signed 53-bit integer mantissa times a power of two, and
+    the mantissa is cut into a high 27-bit and a low 26-bit half of its sign.
+    np.bincount sums each half per exponent, exactly while no more than
+    2**26 values are summed; Python integers add those sums up, and one
+    integer true division rounds the total, subnormal results included.
+    Nonnegative values and values of mixed sign take the same steps.
+    math.fsum itself sums values whose magnitudes may add up past 2**1022
+    (it raises OverflowError when a partial sum passes the float range,
+    even if the total does not) and a total that cancels to exactly zero
+    (its sign of zero is math.fsum's to fix).
     """
     if not 0 < len(values) <= 2**26:
         return math.fsum(values.tolist())
@@ -132,9 +141,13 @@ def _exact_sum(values: np.ndarray) -> float:
     low *= 2.0**26
     lowest = int(exponents.min())
     exponents -= lowest
-    highs = np.bincount(exponents, weights=high).tolist()
+    highs = np.bincount(exponents, weights=high).tolist()  # one sum per exponent up to the highest
+    if lowest + len(highs) + len(values).bit_length() > 1023:
+        return math.fsum(values.tolist())
     lows = np.bincount(exponents, weights=low).tolist()
     total = sum(((int(h) << 26) + int(l)) << e for e, (h, l) in enumerate(zip(highs, lows)) if h or l)
+    if not total:
+        return math.fsum(values.tolist())
     scale = lowest - 53
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
 

@@ -17,8 +17,9 @@ integer counts multiply exactly and divide with one correct rounding.
 numpy float64 computes both while each integer product is below 2**53,
 where doubles hold integers exactly; an integer ratio whose numerator or
 denominator reaches 2**53 (for instance, any histogram totalling 2**53 or
-more) is computed on Python integers instead.  Logarithms and sums stay
-math.log and math.fsum, term by term.
+more) is computed on Python integers instead.  Logarithms stay math.log,
+term by term; the sums of p * log(ratio) have math.fsum's bits, from the
+exact sum in metrics.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
+from .histogram import _INT64_LIMIT, AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
 from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
+from .metrics import _exact_sum
 from .rng import substream
 
 ROUNDING_MODES = ("largest_remainder", "half_even")
@@ -133,8 +135,9 @@ def _quotients(numerators, denominators, integral: bool) -> np.ndarray:
 
 
 def _sum_p_log(p: np.ndarray, ratios: np.ndarray) -> float:
-    """math.fsum of p * math.log(ratio), term by term."""
-    return math.fsum(map(operator.mul, p.tolist(), map(math.log, ratios.tolist())))
+    """math.fsum of p * math.log(ratio), term by term: float64 products of
+    math.log's values, summed by _exact_sum with math.fsum's bits."""
+    return _exact_sum(p * np.fromiter(map(math.log, ratios.tolist()), dtype=np.float64, count=len(ratios)))
 
 
 def _cmi(groupings: Sequence[Groups], margins: Sequence[np.ndarray], total, integral: bool) -> float:
@@ -175,6 +178,33 @@ def kl_divergence(h: Histogram, q: Histogram) -> float:
     return _sum_p_log(p, _quotients((p,), (q_p,), False))
 
 
+def _int64_counts(rounded: np.ndarray) -> np.ndarray:
+    """Rounded float counts as int64; one of 2**63 or more is a DataError."""
+    if not np.all(rounded < _INT64_LIMIT):
+        raise DataError("a rounded count does not fit in a 64-bit integer")
+    return rounded.astype(np.int64)
+
+
+def _largest_remainder(frac: np.ndarray, group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Largest remainder rounding of the fractional counts `frac` within each
+    group: every bucket takes its floor, and as many as the group falls short
+    of the rint of its math.fsum go up by one, the largest remainders first
+    and ties to the smaller key."""
+    floors = np.floor(frac)
+    order = np.lexsort((key, floors - frac, group))  # by group, then remainder desc, then key
+    group_of = group[order]
+    starts = np.flatnonzero(np.r_[True, group_of[1:] != group_of[:-1]])
+    ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]
+    targets = _int64_counts(np.rint([math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]))
+    counts = floors[order].astype(np.int64)
+    sizes = np.diff(bounds)
+    short = np.repeat(targets - np.add.reduceat(counts, starts), sizes)
+    counts += np.arange(len(order)) - np.repeat(starts, sizes) < short
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
+
+
 def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") -> FractionalRepairResult:
     """Rebuild counts so X and Y are conditionally independent given Z.
 
@@ -182,9 +212,12 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     bucket.  The rounded result integerizes it: by default with largest
     remainder rounding inside each (x, y, z) group, which preserves each
     group's total mass (round of its exact sum), the largest remainders
-    rounding up first and ties going to the lexicographically smaller key;
-    `rounding="half_even"` instead rounds each bucket independently.
-    Buckets that round to zero are dropped.
+    rounding up first and ties going to the lexicographically smaller key.
+    A bucket alone in its group gets np.rint of its count, which is what
+    that rounding gives it, so only the buckets of groups of two or more are
+    sorted and summed.  `rounding="half_even"` rounds each bucket
+    independently.  Buckets that round to zero are dropped, and a rounded
+    count of 2**63 or more is a DataError.
     """
     if rounding not in ROUNDING_MODES:
         raise DataError(f"unknown rounding mode {rounding!r}; expected one of {ROUNDING_MODES}")
@@ -200,21 +233,12 @@ def repair(h: Histogram, spec: RepairSpec, rounding: str = "largest_remainder") 
     fractional = Histogram.from_codes(schema, h.codes, frac, integral=False)
     groups = groupings[3]
 
+    rounded_counts = _int64_counts(np.rint(frac))
     if rounding == "largest_remainder":
-        floors = np.floor(frac)
-        key = schema.lex_rank(h.codes, positions)
-        order = np.lexsort((key, floors - frac, groups.index))  # remainder desc, then key
-        group_of = groups.index[order]
-        starts = np.searchsorted(group_of, np.arange(len(groups.codes)))
-        ordered, bounds = frac[order].tolist(), [*starts.tolist(), len(order)]
-        sums = frac[groups.first]  # a one-bucket group's sum is its count
-        for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
-            sums[g] = math.fsum(ordered[bounds[g]:bounds[g + 1]])
-        short = np.rint(sums).astype(np.int64) - groups.sum(floors.astype(np.int64))
-        rounded_counts = floors.astype(np.int64)
-        rounded_counts[order] += np.arange(len(order)) - starts[group_of] < short[group_of]
-    else:
-        rounded_counts = np.rint(frac)
+        shared = np.flatnonzero(np.bincount(groups.index)[groups.index] > 1)
+        if len(shared):
+            key = schema.lex_rank(h.codes[shared], positions[shared])
+            rounded_counts[shared] = _largest_remainder(frac[shared], groups.index[shared], key)
     rounded = Histogram.from_codes(schema, h.codes, rounded_counts)
 
     # fractional has h's buckets unless a float product underflowed to zero

@@ -256,6 +256,11 @@ def repair_object(h, spec):
     return fractional, rounded, cmi_object(h, spec), cmi_object(fractional, spec), kl_object(h, fractional)
 
 
+def label_positions_broadcast(schema, codes):
+    """AttributeSchema.label_positions as one broadcast division by the strides array."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // schema.strides % np.array(schema.shape, dtype=np.int64)
+
+
 def ladder_histograms(m):
     """Reference with counts m..1 and its exact reversal, distinct counts."""
     schema = AttributeSchema((("item", tuple(f"i{j:02d}" for j in range(m))),))

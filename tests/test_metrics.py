@@ -191,6 +191,13 @@ class TestPercentile:
         with pytest.raises(DataError, match="^percentile of "):
             percentile([1.0, bad], 50)
 
+    def test_neighbours_further_apart_than_the_float_range(self):
+        values = [1.7e308, -1.7e308]
+        assert percentile(values, 50) == 0.0
+        assert percentile(values, 30) == pytest.approx(-6.8e307, rel=1e-15)
+        assert percentile(values, 97.5) == pytest.approx(1.615e308, rel=1e-15)
+        assert percentile(values, 100) == 1.7e308
+
 
 class TestBootstrap:
     def test_single_bucket_band_is_zero(self):

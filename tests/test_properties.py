@@ -1,6 +1,7 @@
 """Property tests against the brute-force oracles in helpers.py."""
 
 import csv
+import importlib
 import io
 import itertools
 import math
@@ -43,7 +44,7 @@ from odrelease import (
     write_histogram_csv,
 )
 from odrelease import ingest, metrics, parallel
-from odrelease.histogram import align, rank_by_count
+from odrelease.histogram import align, bucket_groups, rank_by_count
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import (
     _exact_sum,
@@ -52,6 +53,7 @@ from odrelease.metrics import (
     _smaller_before,
     _smaller_before_cells,
     pair_distances,
+    percentile,
 )
 from odrelease.rng import substream
 
@@ -60,6 +62,7 @@ from helpers import (
     bike_preprocess_per_row,
     cmi_object,
     kl_object,
+    label_positions_broadcast,
     largest_remainder_repair,
     merge_unique,
     privatize_per_bin,
@@ -289,6 +292,51 @@ def test_exact_sum_equals_fsum(values):
     assert _exact_sum(np.array(values, dtype=float)).hex() == expected.hex()
 
 
+# Finite floats of either sign: signed zeros, subnormals, and magnitudes
+# spread over exponents from 1e-300 to 1e300.
+signed_summands = st.one_of(
+    summands,
+    summands.map(lambda v: -v),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+)
+
+
+@property_settings
+@given(st.lists(signed_summands, min_size=1, max_size=60), st.sampled_from(["as drawn", "cancelling", "first only"]))
+@example([-0.0], "as drawn")
+@example([-0.0, -0.0, 0.0], "as drawn")
+@example([5e-324, -1e-300, 1e300, -1e300], "cancelling")
+def test_signed_exact_sum_equals_fsum(values, form):
+    if form == "cancelling":  # each value and its negation: the sum is exactly 0
+        values = values + [-v for v in reversed(values)]
+    elif form == "first only":
+        values = values[:1]
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array(values, dtype=float))
+        return
+    assert _exact_sum(np.array(values, dtype=float)).hex() == expected.hex()
+
+
+@property_settings
+@given(st.lists(st.floats(-8e307, 8e307), min_size=1, max_size=30), st.floats(0.0, 100.0))
+def test_percentile_has_numpys_bits_where_no_difference_overflows(values, pct):
+    assert percentile(values, pct).hex() == float(np.percentile(values, pct)).hex()
+
+
+@property_settings
+@given(st.data())
+def test_label_positions_equal_the_broadcast_oracle(data):
+    schema = data.draw(schemas(max_attrs=5, max_labels=7))
+    size = schema.global_size
+    codes = data.draw(st.lists(st.integers(-2 * size, 2 * size), max_size=40))
+    assert np.array_equal(schema.label_positions(codes), label_positions_broadcast(schema, codes))
+    assert schema.label_positions(codes).shape == (len(codes), len(schema.names))
+
+
 @property_settings
 @given(st.data())
 def test_group_by_equals_marginalize(data):
@@ -422,6 +470,30 @@ def test_repair_cmi_and_kl_equal_the_object_oracles_bit_for_bit(case):
     for p, q in ((h, result.rounded), (result.fractional, h), (result.rounded, result.fractional)):
         if q.total > 0 and p.total > 0:
             assert _bits(kl_divergence(p, q)) == _bits(kl_object(p, q))
+
+
+# Counts over (x, y, u): with z = () the (x, y) groups hold 2, 1, 3 and 1
+# active buckets; with z = ("u",) every group holds one.
+ROUNDING_COUNTS = (3, 1, 0, 0, 0, 5, 1, 2, 2, 0, 4, 0)
+
+
+@pytest.mark.parametrize("z", [(), ("u",)], ids=["shared-and-one-bucket-groups", "one-bucket-groups"])
+def test_repair_rounds_each_group_size_on_its_own_path_with_the_oracles_bits(z):
+    """repair_object sorts every group; repair sorts only the groups of two or more."""
+    schema = AttributeSchema((("x", ("b", "a")), ("y", ("1", "0")), ("u", ("w2", "w0", "w1"))))
+    h = Histogram.from_codes(schema, range(12), ROUNDING_COUNTS)
+    spec = RepairSpec("x", "y", z)
+    sizes = np.bincount(bucket_groups(h, ("x", "y", *z)).index)
+    module = importlib.import_module("odrelease.repair")
+    with mock.patch.object(module, "_largest_remainder", wraps=module._largest_remainder) as shared_path:
+        result = repair(h, spec)
+    assert (sizes == 1).any()
+    assert shared_path.called == (sizes > 1).any() == (z == ())
+    fractional, rounded, cmi_before, cmi_after, kl = repair_object(h, spec)
+    assert _bits(result.fractional, result.rounded, result.cmi_before, result.cmi_after, result.kl_divergence) == (
+        _bits(fractional, rounded, cmi_before, cmi_after, kl)
+    )
+    assert np.any(result.fractional.counts != np.floor(result.fractional.counts))
 
 
 @property_settings

@@ -204,6 +204,21 @@ class TestRepair:
         with pytest.raises(EmptyInputError):
             repair(Histogram(xy_schema(), {}), RepairSpec("x", "y"))
 
+    @pytest.mark.parametrize("rounding", ["largest_remainder", "half_even"])
+    @pytest.mark.parametrize("z", [(), ("s",)], ids=["shared-groups", "one-bucket-groups"])
+    def test_a_rounded_count_past_int64_is_a_data_error(self, z, rounding):
+        h = Histogram.from_codes(stratified_schema(), range(8), [2.0**63] * 8, integral=False)
+        with pytest.raises(DataError, match="^a rounded count does not fit in a 64-bit integer$"):
+            repair(h, RepairSpec("x", "y", z), rounding=rounding)
+
+    def test_a_group_rounding_past_int64_is_a_data_error(self):
+        # each bucket's count fits, but its (x, y) group of two rounds to 10**19
+        h = Histogram.from_codes(stratified_schema(), range(8), [5e18] * 8, integral=False)
+        with pytest.raises(DataError, match="^a rounded count does not fit in a 64-bit integer$"):
+            repair(h, RepairSpec("x", "y"))
+        with pytest.raises(DataError, match="^integer counts total 40000000000000000000, more than"):
+            repair(h, RepairSpec("x", "y"), rounding="half_even")
+
 
 def outputs(result):
     """The bits of a repair's histograms and diagnostics."""

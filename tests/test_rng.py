@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from odrelease.rng import first_uniforms, substream
+from odrelease.rng import _PHILOX_BLOCK, first_uniforms, substream
 
 SEEDS = (0, 1, 2**63 - 1)
 LABELS = ("active", "spurious-value")
-# Indexes of 1 to 5 digits.
-COUNTS = (0, 1, 200, 10_000)
+# Indexes of 1 to 5 digits; the largest count spans three blocks of Philox rounds.
+COUNTS = (0, 1, 200, 10_000, 20_000)
 
 
 @pytest.fixture(scope="module", params=SEEDS)
 def draws(request):
-    """For each label, first_uniforms of every count and the scalar draws of indexes 0 .. 9,999."""
+    """For each label, first_uniforms of every count and the scalar draws of indexes 0 .. 19,999."""
     seed = request.param
     return {
         label: (
@@ -25,6 +25,7 @@ def draws(request):
 
 
 def test_first_uniform_equals_the_substream_draw(draws):
+    assert max(COUNTS) > 2 * _PHILOX_BLOCK
     for vectorized, scalar in draws.values():
         for count, draw in vectorized.items():
             assert draw.dtype == np.float64
