@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .config import file_path, finite, flag, labels, load_json, mapping, whole
+from .csvio import text_chunks
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
 from .ingest import (
@@ -37,7 +38,6 @@ from .ingest import (
     synth_generate,
     synthetic_od_seed,
     taxi_preprocess,
-    text_chunks,
 )
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, pair_distances
 from .parallel import forked_map

@@ -11,7 +11,6 @@ every (count desc, key asc) order is sorted by one helper, rank_by_count.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import load_json
+from .csvio import _lines, text_chunks
 from .errors import DataError, EmptyInputError, SchemaError
 
 BucketKey = tuple[str, ...]
@@ -199,6 +199,38 @@ def _check_integer_total(total: int) -> None:
         raise DataError(f"integer counts total {total}, more than a 64-bit integer holds")
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()), the correctly rounded sum, for finite floats of either sign.
+
+    Each value is a signed 53-bit integer mantissa times a power of two, and
+    the mantissa is cut into a high 27-bit and a low 26-bit half of its sign.
+    np.bincount sums each half per exponent, exactly while no more than
+    2**26 values are summed; Python integers add those sums up, and one
+    integer true division rounds the total, subnormal results included.
+    Nonnegative values and values of mixed sign take the same steps.
+    math.fsum itself sums values whose magnitudes may add up past 2**1022
+    (it raises OverflowError when a partial sum passes the float range,
+    even if the total does not) and a total that cancels to exactly zero
+    (its sign of zero is math.fsum's to fix).
+    """
+    if not 0 < len(values) <= 2**26:
+        return math.fsum(values.tolist())
+    mantissas, exponents = np.frexp(values)
+    low, high = np.modf(mantissas * 2.0**27)
+    low *= 2.0**26
+    lowest = int(exponents.min())
+    exponents -= lowest
+    highs = np.bincount(exponents, weights=high).tolist()  # one sum per exponent up to the highest
+    if lowest + len(highs) + len(values).bit_length() > 1023:
+        return math.fsum(values.tolist())
+    lows = np.bincount(exponents, weights=low).tolist()
+    total = sum(((int(h) << 26) + int(l)) << e for e, (h, l) in enumerate(zip(highs, lows)) if h or l)
+    if not total:
+        return math.fsum(values.tolist())
+    scale = lowest - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 def rank_by_count(counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
     """Positions of the counts in (count desc, key asc) order, given the
     positions in key order.
@@ -268,9 +300,8 @@ class Histogram:
         nonzero = counts != 0
         self.schema, self.integral = schema, integral
         self.codes, self.counts = codes[nonzero], counts[nonzero]
-        values = self.counts.tolist()
         try:
-            self.total = sum(values) if integral else math.fsum(values)
+            self.total = sum(self.counts.tolist()) if integral else _exact_sum(self.counts)
         except OverflowError:  # fractional counts whose total is past the float range
             raise DataError("fractional counts total more than a float holds") from None
         if integral:
@@ -462,36 +493,32 @@ def write_histogram_csv(h: Histogram, path) -> None:
 def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
     """Inverse of write_histogram_csv; mode is inferred from the count column.
 
-    The file is decoded whole, so a byte that is not UTF-8 is a DataError
-    naming its offset in the file."""
+    The whole file is decoded by text_chunks before a row is parsed, so a
+    NUL byte or a byte that is not UTF-8 is a DataError naming the file
+    (and, for the latter, its offset in it) whatever else the file holds."""
+    reader = csv.reader(_lines(list(text_chunks(path))))
     try:
-        text = Path(path).read_bytes().decode("utf8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    with io.StringIO(text, newline="") as f:
-        reader = csv.reader(f)
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty histogram file") from None
+    expected = list(schema.names) + [_COUNT_COLUMN]
+    if header != expected:
+        raise SchemaError(f"{path}: header {header!r} does not match schema columns {expected!r}")
+    keys, counts, integral = [], [], True
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise DataError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
+        raw = row[-1]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty histogram file") from None
-        expected = list(schema.names) + [_COUNT_COLUMN]
-        if header != expected:
-            raise SchemaError(f"{path}: header {header!r} does not match schema columns {expected!r}")
-        keys, counts, integral = [], [], True
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
-            raw = row[-1]
+            value = int(raw)
+        except ValueError:
             try:
-                value = int(raw)
+                value = float(raw)
             except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad count {raw!r}") from None
-                integral = False
-            keys.append(row[:-1])
-            counts.append(value)
+                raise DataError(f"{path}:{lineno}: bad count {raw!r}") from None
+            integral = False
+        keys.append(row[:-1])
+        counts.append(value)
     return Histogram.from_codes(schema, schema.encode(keys), counts, integral)  # _store checks every count

@@ -7,24 +7,22 @@ seeded synthetic ride-hailing generator used by the experiments.
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
-import functools
-import io
 import itertools
 import math
 import operator
 import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import finite, labels, mapping, numbers, text_map, whole
+from .csvio import Blocks, block_ranges
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import AttributeSchema, Histogram
-from .parallel import MAX_WORKERS, forked_map
+from .parallel import forked_map
 from .rng import substream
 
 TIME_BUCKETS = ("morning", "day", "evening", "night")
@@ -189,10 +187,6 @@ class TaxiConfig:
         )
 
 
-# Rows per block of the trips-CSV reader and the columnar taxi ingest.  On
-# one byte range of a 1M-row taxi CSV, blocks of 1k, 2k, 4k and 8k lines took
-# 0.49, 0.46, 0.45 and 0.45 s, each doubling adding about 3 MB of peak RSS.
-_BLOCK_ROWS = 2048
 _NUMBER_ROLES = (
     "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat", "trip_distance", "fare_amount", "tip_amount",
 )
@@ -297,85 +291,6 @@ class _TaxiScan(NamedTuple):
     drivers: list[str]
 
 
-def _blocks(records, names: Sequence[str]) -> Iterator[list[list[str]]]:
-    """Per block of records, the stripped fields under each of names: those of
-    the UTF-8 CSV at records by _csv_blocks when it is a path, else per mapping
-    its values under names, by rec.get.  A CSV's header is read at once."""
-    if isinstance(records, (str, os.PathLike)):
-        header, chunks = _csv_header(text_chunks(records))
-        return _csv_blocks(chunks, header, names)
-    return _row_blocks(([rec.get(name) or "" for name in names] for rec in records), names, names)
-
-
-def _row_blocks(
-    rows: Iterator[Sequence[str]], header: Sequence[str], names: Sequence[str]
-) -> Iterator[list[list[str]]]:
-    """Per block of up to _BLOCK_ROWS rows, CSV rows under header, the stripped
-    fields under each of names.  Each column is found by header index: the last
-    duplicate header wins, a short row reads empty past its end, blank rows are
-    skipped and extra fields ignored.  A column the header lacks reads empty."""
-    index = {name: i for i, name in enumerate(header)}
-    found = [name for name in names if name in index]
-    width = 1 + max((index[name] for name in found), default=-1)
-    while raw := list(itertools.islice(rows, _BLOCK_ROWS)):
-        block = [row for row in raw if row]
-        if min(map(len, block), default=width) < width:
-            pad = [""] * width
-            block = [row if len(row) >= width else row + pad[len(row) :] for row in block]
-        stripped = {name: list(map(str.strip, map(operator.itemgetter(index[name]), block))) for name in found}
-        yield [stripped.get(name) or [""] * len(block) for name in names]
-
-
-def _csv_header(chunks: Iterator[str]) -> tuple[list[str], Iterator[str]]:
-    """The first row of the CSV text in chunks, parsed by csv, and the chunks
-    of the text after it."""
-    current = io.StringIO()
-
-    def lines():
-        nonlocal current
-        for chunk in chunks:
-            current = io.StringIO(chunk, newline="")
-            for line in current:  # not yield from, which would close current with this generator
-                yield line
-
-    header = next(csv.reader(lines()), [])
-    return header, itertools.chain([current.read()], chunks)
-
-
-def _csv_blocks(chunks: Iterator[str], header: Sequence[str], names: Sequence[str]) -> Iterator[list[list[str]]]:
-    """The blocks of _row_blocks for the CSV rows under header in chunks of
-    text, each chunk starting a row.
-
-    A chunk with no '"' whose every line ends in "\n" or "\r\n" is split at
-    commas _BLOCK_ROWS lines at a time, column i of a block being
-    fields[i::len(header)], when no line of the block is blank and each holds
-    len(header) fields and at most csv.field_size_limit() characters: then
-    these are the fields csv.reader gives.  csv.reader reads every other
-    block or chunk, and every chunk from the first one holding a '"' on, as a
-    quoted field may run on into the next chunk.
-    """
-    width = len(header)
-    index = {name: i for i, name in enumerate(header)}
-    for chunk in chunks:
-        if '"' in chunk:
-            yield from _row_blocks(csv.reader(_lines(itertools.chain([chunk], chunks))), header, names)
-            return
-        text = chunk.replace("\r\n", "\n") if "\r" in chunk else chunk
-        if "\r" in text or not text.endswith("\n"):  # a bare "\r" ends a line, or the last line has no end
-            yield from _row_blocks(csv.reader(io.StringIO(chunk, newline="")), header, names)
-            continue
-        limit = csv.field_size_limit()
-        while text:
-            *lines, text = text.split("\n", _BLOCK_ROWS)
-            commas = list(map(str.count, lines, itertools.repeat(",")))
-            if "" in lines or max(map(len, lines)) > limit or commas.count(width - 1) < len(lines):
-                yield from _row_blocks(csv.reader(lines), header, names)
-                continue
-            fields = ",".join(lines).split(",")
-            yield [list(map(str.strip, fields[index[name] :: width])) if name in index else [""] * len(lines)
-                   for name in names]
-
-
 def _checked(stats: IngestStats, kind: str) -> IngestStats:
     """stats, unless over half the rows it counts are malformed or it retains none."""
     if stats.rows and stats.malformed > 0.5 * stats.rows:
@@ -385,9 +300,9 @@ def _checked(stats: IngestStats, kind: str) -> IngestStats:
     return stats
 
 
-def _scan_taxi(blocks: Iterator[list[list[str]]], config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
+def _scan_taxi(blocks: Blocks, config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
     """Check, count and code the taxi rows of blocks, each a block's fields
-    under the names of config.columns, as _blocks gives them."""
+    under the names of config.columns, as block_ranges gives them."""
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
     strides = schema.strides.tolist()
@@ -452,89 +367,6 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
     return IngestResult(Histogram.from_codes(schema, *np.unique(codes, return_counts=True)), stats)
 
 
-# Reading a taxi CSV from its path.  A file of at least _SPLIT_MIN_BYTES with
-# no '"' byte is cut into MAX_WORKERS byte ranges, each ending just after a
-# newline, whatever the machine.  With no quote character every line is a
-# whole row, so each range parses alone.  The ranges are scanned through
-# parallel.forked_map: this process reads the first range, header included.
-_SPLIT_MIN_BYTES = 8 << 20
-_CHUNK_BYTES = 1 << 20
-
-
-def _range_starts(path) -> list[int]:
-    """The byte offset at which each range of the file at path starts."""
-    size = os.path.getsize(path)
-    if size < _SPLIT_MIN_BYTES:
-        return [0]
-    starts = [0]
-    with open(path, "rb") as f:
-        if any(b'"' in chunk for chunk in iter(functools.partial(f.read, _CHUNK_BYTES), b"")):
-            return [0]
-        for i in range(1, MAX_WORKERS):
-            f.seek(max(size * i // MAX_WORKERS, starts[-1]))
-            f.readline()  # to just after the next newline
-            if f.tell() >= size:
-                break
-            starts.append(f.tell())
-    return starts
-
-
-def _range_chunks(path, start: int, stop: int | None) -> Iterator[bytes]:
-    """Bytes [start, stop) of the file at path, or from start to its end, in
-    chunks of about _CHUNK_BYTES, each but the last ending just after a newline.
-    A NUL byte is a DataError on any Python (the csv module of 3.11 would read
-    it as a character, where that of 3.10 rejects it)."""
-    with open(path, "rb") as f:
-        if start:
-            f.seek(start)
-        rest = b""
-        while block := f.read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - f.tell())):
-            if b"\0" in block:
-                raise DataError(f"{path} holds a NUL byte")
-            chunk = rest + block
-            cut = chunk.rfind(b"\n") + 1
-            rest = chunk[cut:]
-            yield chunk[:cut]
-        yield rest
-
-
-def text_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    """The chunks of _range_chunks, each decoded as UTF-8 when it is reached.
-    The one reader of every trips, riders and neighbourhood file, so a NUL
-    byte or a byte that is not UTF-8 in any of them is a DataError naming
-    the file and, for the latter, its offset in the file."""
-    offset = start
-    for chunk in _range_chunks(path, start, stop):
-        try:
-            yield chunk.decode("utf8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {offset + exc.start}") from None
-        offset += len(chunk)
-
-
-def _lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of the text in chunks, split as in a file opened with newline=""."""
-    return itertools.chain.from_iterable(io.StringIO(chunk, newline="") for chunk in chunks)
-
-
-def _scan_taxi_csv(path, config: TaxiConfig, schema: AttributeSchema) -> list[_TaxiScan]:
-    """The scan of each range of the taxi CSV at path, first to last.
-
-    If more than one range fails, the first range's error is raised, as a
-    read of the whole file from the start would raise it.
-    """
-    starts = _range_starts(path)
-    ranges = list(zip(starts, [*starts[1:], None]))
-    names = list(config.columns.values())
-    header, first = _csv_header(text_chunks(path, *ranges[0]))  # read before the workers fork
-
-    def scan(byte_range: tuple[int, int | None]) -> _TaxiScan:
-        chunks = first if byte_range == ranges[0] else text_chunks(path, *byte_range)
-        return _scan_taxi(_csv_blocks(chunks, header, names), config, schema)
-
-    return forked_map(scan, ranges)
-
-
 def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, config: TaxiConfig) -> IngestResult:
     """Bucketize taxi trips into the 8-attribute histogram of the experiments.
 
@@ -552,13 +384,14 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     in four, by one process per CPU available (at most four), with the same
     result, and any other CSV in one.  Each range is split at commas where
     that gives the rows csv.reader would, and read by csv.reader elsewhere
-    (see _csv_blocks).  Any other iterable is read through rec.get, one
+    (see csvio._csv_blocks).  Any other iterable is read through rec.get, one
     record at a time, so passing the path is the fast way to read a file.
+    If more than one range fails, the first range's error is raised, as a
+    read of the whole file from the start would raise it.
     """
     schema = _taxi_schema(config)
-    if isinstance(records, (str, os.PathLike)):
-        return _taxi_result(_scan_taxi_csv(records, config, schema), schema)
-    return _taxi_result([_scan_taxi(_blocks(records, list(config.columns.values())), config, schema)], schema)
+    sources = block_ranges(records, list(config.columns.values()))
+    return _taxi_result(forked_map(lambda blocks: _scan_taxi(blocks, config, schema), sources), schema)
 
 
 @dataclass(frozen=True)
@@ -605,7 +438,8 @@ def bike_preprocess(
     """Join trips with rider survey attributes and bucketize.
 
     trips and riders are each the path of a UTF-8 CSV or an iterable of
-    mappings, read as by taxi_preprocess.  A rider row missing a field is
+    mappings, read as by taxi_preprocess, a path's byte ranges one after
+    another in this process.  A rider row missing a field is
     skipped; a later row of a rider id replaces an earlier one.  Trips whose
     rider id is absent from the survey are dropped and counted.  If some
     company's joined gender column is a single constant value, a data-quality
@@ -623,14 +457,14 @@ def bike_preprocess(
     )
     rider_names = [config.rider_columns[role] for role in ("rider_id", "helmet", "gender")]
     survey = {}  # rider id: helmet, gender
-    for block in _blocks(riders, rider_names):
+    for block in itertools.chain.from_iterable(block_ranges(riders, rider_names)):
         survey.update((rider, answers) for rider, *answers in zip(*block) if rider and all(answers))
 
     trip_names = [config.trip_columns[role] for role in ("rider_id", "start", "end", "time", "company")]
     domains = [set(domain) for domain in schema.domains]
     rows = dropped_missing = dropped_filtered = 0
     keys = []
-    for block in _blocks(trips, trip_names):
+    for block in itertools.chain.from_iterable(block_ranges(trips, trip_names)):
         rows += len(block[0])
         for rider, start, end, time, company in zip(*block):
             if not (rider and start and end and time and company):

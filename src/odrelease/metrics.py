@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError
-from .histogram import Histogram, align, rank_by_count
+from .histogram import Histogram, _exact_sum, align, rank_by_count
 from .parallel import forked_map
 from .rng import substream
 
@@ -118,38 +118,6 @@ def _smaller_before(sigma: np.ndarray) -> np.ndarray:
         values, count = values[order], count[order]
         shift += 1
     return count[sigma - 1]
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()), the correctly rounded sum, for finite floats of either sign.
-
-    Each value is a signed 53-bit integer mantissa times a power of two, and
-    the mantissa is cut into a high 27-bit and a low 26-bit half of its sign.
-    np.bincount sums each half per exponent, exactly while no more than
-    2**26 values are summed; Python integers add those sums up, and one
-    integer true division rounds the total, subnormal results included.
-    Nonnegative values and values of mixed sign take the same steps.
-    math.fsum itself sums values whose magnitudes may add up past 2**1022
-    (it raises OverflowError when a partial sum passes the float range,
-    even if the total does not) and a total that cancels to exactly zero
-    (its sign of zero is math.fsum's to fix).
-    """
-    if not 0 < len(values) <= 2**26:
-        return math.fsum(values.tolist())
-    mantissas, exponents = np.frexp(values)
-    low, high = np.modf(mantissas * 2.0**27)
-    low *= 2.0**26
-    lowest = int(exponents.min())
-    exponents -= lowest
-    highs = np.bincount(exponents, weights=high).tolist()  # one sum per exponent up to the highest
-    if lowest + len(highs) + len(values).bit_length() > 1023:
-        return math.fsum(values.tolist())
-    lows = np.bincount(exponents, weights=low).tolist()
-    total = sum(((int(h) << 26) + int(l)) << e for e, (h, l) in enumerate(zip(highs, lows)) if h or l)
-    if not total:
-        return math.fsum(values.tolist())
-    scale = lowest - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 # The cell kernel runs while its three tables hold at most this many entries

@@ -33,9 +33,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import _INT64_LIMIT, AttributeSchema, Groups, Histogram, bucket_groups, check_same_schema
+from .histogram import _INT64_LIMIT, AttributeSchema, Groups, Histogram, _exact_sum, bucket_groups, check_same_schema
 from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
-from .metrics import _exact_sum
 from .rng import substream
 
 ROUNDING_MODES = ("largest_remainder", "half_even")

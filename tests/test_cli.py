@@ -23,7 +23,7 @@ from odrelease import (
     read_histogram_csv,
     write_histogram_csv,
 )
-from odrelease import cli, ingest, metrics, parallel
+from odrelease import cli, csvio, metrics, parallel
 from odrelease.cli import PipelineConfig, main, run_measure, run_release, run_sweep
 from helpers import assert_no_child_left, recording_pids
 
@@ -636,8 +636,8 @@ BYTE_FUZZ = {
 @given(st.sampled_from(sorted(BYTE_FUZZ)), st.data())
 def test_mutated_input_file_bytes_exit_with_a_code(command, data):
     """Each taxi trips CSV is read in byte ranges, whatever its size, in workers forked as for a large file."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
-            mock.patch.object(ingest, "MAX_WORKERS", 3), mock.patch.object(parallel, "cpus_available", lambda: 3):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(csvio, "MAX_WORKERS", 3), mock.patch.object(parallel, "cpus_available", lambda: 3):
         tmp_path = Path(tmp)
         make_argv, targets = BYTE_FUZZ[command]
         argv = make_argv(tmp_path)

@@ -20,6 +20,7 @@ from odrelease import (
     support_union,
     write_histogram_csv,
 )
+from odrelease import csvio
 from odrelease.histogram import align
 from helpers import align_union1d
 
@@ -396,13 +397,16 @@ class TestCsv:
         with pytest.raises(DataError):
             read_histogram_csv(path, two_attr_schema())
 
-    def test_a_byte_that_is_not_utf8_is_a_data_error_naming_the_file_and_its_offset(self, tmp_path):
+    @pytest.mark.parametrize("chunk_bytes", [1 << 20, 50])
+    def test_a_byte_that_is_not_utf8_is_a_data_error_naming_the_file_and_its_offset(self, tmp_path, monkeypatch,
+                                                                                    chunk_bytes):
         # keys repeat from the third row on: the bad byte is found before any row is read
         rows = "".join(f"{'ab'[i % 2]},{i % 2},{i + 1}\n" for i in range(20_000))
         data = ("first,second,count\n" + rows).encode() + b"\xff,0,1\n"
         path = tmp_path / "h.csv"
         path.write_bytes(data)
         assert len(data) > 2 * 65536  # past any one read buffer
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)  # at 50, the bad byte is thousands of chunks in
         with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not UTF-8: invalid start byte at byte {len(data) - 6}$"):
             read_histogram_csv(path, two_attr_schema())
 
@@ -410,6 +414,31 @@ class TestCsv:
         path = tmp_path / "h.csv"
         path.write_text("wrong,second,count\na,0,1\n")
         with pytest.raises(SchemaError):
+            read_histogram_csv(path, two_attr_schema())
+
+    @pytest.mark.parametrize("row,message", [("a,0", "expected 3 fields, got 2"), ("a,0,x", "bad count 'x'")])
+    def test_a_bad_row_is_named_by_its_line_blank_rows_counted(self, tmp_path, row, message):
+        path = tmp_path / "h.csv"
+        path.write_text(f"first,second,count\nb,1,2\n\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: {re.escape(message)}$"):
+            read_histogram_csv(path, two_attr_schema())
+
+    def test_an_empty_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: empty histogram file$"):
+            read_histogram_csv(path, two_attr_schema())
+
+    def test_a_blank_first_line_is_a_header_mismatch(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("\nfirst,second,count\na,0,1\n")
+        with pytest.raises(SchemaError, match=r": header \[\] does not match schema columns"):
+            read_histogram_csv(path, two_attr_schema())
+
+    def test_a_nul_byte_is_a_data_error_on_any_python(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"first,second,count\na,0,1\x00\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} holds a NUL byte$"):
             read_histogram_csv(path, two_attr_schema())
 
 

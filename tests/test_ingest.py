@@ -28,7 +28,7 @@ from odrelease import (
     tertiles,
     time_bucket,
 )
-from odrelease import cli, ingest, parallel
+from odrelease import cli, csvio, ingest, parallel
 from odrelease.ingest import BikeConfig, round_coordinate
 from helpers import recording_pids
 
@@ -259,14 +259,14 @@ def trips_csv(path, blocks, rows=60):
 
 def read_in(monkeypatch, ranges):
     """Read paths in up to `ranges` ranges, whatever their size, one process per range."""
-    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
-    monkeypatch.setattr(ingest, "MAX_WORKERS", ranges)
+    monkeypatch.setattr(csvio, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(csvio, "MAX_WORKERS", ranges)
     monkeypatch.setattr(parallel, "cpus_available", lambda: ranges)
 
 
 def range_of(path, offset):
     """The 1-based range of the file at path that holds the byte at offset."""
-    return sum(start <= offset for start in ingest._range_starts(path))
+    return sum(start <= offset for start in csvio._range_starts(path))
 
 
 FAULTS = {  # a bad line, and the error a read of it raises
@@ -280,9 +280,9 @@ class TestTaxiCsvRanges:
     def test_a_csv_path_reads_like_its_dict_reader(self, tmp_path, monkeypatch, cpus):
         path = tmp_path / "trips.csv"
         trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])
-        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(csvio, "_SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
-        assert len(ingest._range_starts(path)) == parallel.MAX_WORKERS
+        assert len(csvio._range_starts(path)) == parallel.MAX_WORKERS
         with open(path, newline="", encoding="utf8") as f:
             want = taxi_preprocess(csv.DictReader(f), TaxiConfig())
         pids = tmp_path / "pids"
@@ -298,15 +298,15 @@ class TestTaxiCsvRanges:
     def test_a_file_is_split_only_when_large_and_quote_free_whatever_the_cpus(self, tmp_path, monkeypatch):
         path = tmp_path / "trips.csv"
         trips_csv(path, [None, None])
-        assert ingest._range_starts(path) == [0]  # under _SPLIT_MIN_BYTES
-        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
-        starts = ingest._range_starts(path)
+        assert csvio._range_starts(path) == [0]  # under _SPLIT_MIN_BYTES
+        monkeypatch.setattr(csvio, "_SPLIT_MIN_BYTES", 0)
+        starts = csvio._range_starts(path)
         assert len(starts) == parallel.MAX_WORKERS
         for cpus in (1, 64):
             monkeypatch.setattr(parallel, "cpus_available", lambda: cpus)
-            assert ingest._range_starts(path) == starts
+            assert csvio._range_starts(path) == starts
         trips_csv(path, [None, b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d1"', None])
-        assert ingest._range_starts(path) == [0]  # a quoted field may hold a newline
+        assert csvio._range_starts(path) == [0]  # a quoted field may hold a newline
 
     @pytest.mark.parametrize("chunk_bytes,rows", [(1, 60), (50, 60), (1 << 20, 9000)])
     def test_a_quote_first_met_in_a_late_chunk_reads_like_its_dict_reader(self, tmp_path, monkeypatch,
@@ -315,7 +315,7 @@ class TestTaxiCsvRanges:
         quoted = b'2013-01-11 08:15:00,-74.0,40.7,-73.95,40.75,2.0,10.0,2.0,CRD,"d\n1"'  # the field holds a newline
         (offset,) = trips_csv(path, [None, None, quoted, None], rows=rows)
         assert offset > chunk_bytes  # split at commas up to the chunk holding the quote
-        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)
         with open(path, newline="", encoding="utf8") as f:
             want = taxi_preprocess(csv.DictReader(f), TaxiConfig())
         got = taxi_preprocess(path, TaxiConfig())
@@ -325,13 +325,14 @@ class TestTaxiCsvRanges:
     def test_blank_lines_under_a_one_column_header_are_skipped(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_bytes(b"hack_license\nd1\n\n d2\r\n\r\n")
-        assert [column for block in ingest._blocks(path, ["hack_license"]) for column in block] == [["d1", "d2"]]
+        (source,) = csvio.block_ranges(path, ["hack_license"])
+        assert [column for block in source for column in block] == [["d1", "d2"]]
 
     def test_a_process_with_other_threads_scans_every_range_itself(self, tmp_path, monkeypatch):
         path = tmp_path / "trips.csv"
         trips_csv(path, [b"", b"2013-01-11 08:15:00,x,,,,,,,CSH,d1", None])
         read_in(monkeypatch, 3)
-        assert len(ingest._range_starts(path)) == 3
+        assert len(csvio._range_starts(path)) == 3
         want = taxi_preprocess(path, TaxiConfig())
         scanned = []
         scan = ingest._scan_taxi
@@ -379,9 +380,9 @@ class TestTaxiCsvRanges:
         line = FAULTS["not-utf8"][0]
         (offset,) = trips_csv(path, [None, None, line])
         read_in(monkeypatch, ranges)
-        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 50)
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 50)
         assert range_of(path, offset) == ranges
-        assert offset - ingest._range_starts(path)[-1] > 50  # in a later chunk of the last range
+        assert offset - csvio._range_starts(path)[-1] > 50  # in a later chunk of the last range
         bad = offset + line.index(b"\xff")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not UTF-8: invalid start byte at byte {bad}$"):
             taxi_preprocess(path, TaxiConfig())

@@ -43,11 +43,10 @@ from odrelease import (
     taxi_preprocess,
     write_histogram_csv,
 )
-from odrelease import ingest, metrics, parallel
-from odrelease.histogram import align, bucket_groups, rank_by_count
+from odrelease import csvio, ingest, metrics, parallel
+from odrelease.histogram import _exact_sum, align, bucket_groups, rank_by_count
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import (
-    _exact_sum,
     _position_weights,
     _pwkt_from_vectors,
     _smaller_before,
@@ -618,8 +617,8 @@ def csv_texts(draw, names, fields, spoiled):
     """CSV text under a header of names, of rows drawn from `fields` with 0-2
     fields spoiled (empty, padded, or drawn from `spoiled`: out of range or
     malformed), short and long rows, blank lines, and sometimes a duplicate,
-    a missing or an extra header column.  Lines end in "\r\n" or "\n", and
-    now and then one in a bare "\r"."""
+    a missing or an extra header column.  Lines end in "\r\n" or "\n", now
+    and then one in a bare "\r", and the last line may have no end."""
     header = list(names)
     shape = draw(st.sampled_from(["plain", "plain", "duplicate", "missing", "extra"]))
     if shape == "duplicate":  # the later column of the name wins
@@ -651,7 +650,8 @@ def csv_texts(draw, names, fields, spoiled):
     for line in lines:
         end = draw(st.sampled_from([ending] * 9 + ["\r"]))
         csv.writer(out, lineterminator=end).writerow(line)  # a blank line is its end alone
-    return out.getvalue()
+    text = out.getvalue()
+    return text[: -len(end)] if draw(st.booleans()) else text
 
 
 def taxi_csvs():
@@ -706,7 +706,7 @@ def _edge_times_csv():
 @given(taxi_csvs(), st.sampled_from([1, 2, 3, 2048]))
 @example(_edge_times_csv(), 5)
 def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):  # small blocks split rows across blocks
+    with mock.patch.object(csvio, "_BLOCK_ROWS", block_rows):  # small blocks split rows across blocks
         assert_same_ingest(text)
 
 
@@ -714,11 +714,11 @@ def test_columnar_taxi_ingest_equals_the_per_row_oracle(text, block_rows):
 @given(taxi_csvs(), st.sampled_from([1, 2, 3, 4]), st.sampled_from([1, 2, 3, 64]), st.sampled_from([1, 2048]),
        st.sampled_from([1, 50, 1 << 20]))
 def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, cpus, block_rows, chunk_bytes):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 0), \
-            mock.patch.object(ingest, "MAX_WORKERS", ranges), \
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(csvio, "MAX_WORKERS", ranges), \
             mock.patch.object(parallel, "cpus_available", lambda: cpus), \
-            mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+            mock.patch.object(csvio, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(csvio, "_CHUNK_BYTES", chunk_bytes):
         path = Path(tmp) / "trips.csv"
         path.write_text(text, encoding="utf8", newline="")
         got = _ingest(taxi_preprocess, path)
@@ -727,7 +727,7 @@ def test_taxi_csv_read_in_byte_ranges_equals_the_per_row_oracle(text, ranges, cp
 
 def test_columnar_taxi_ingest_equals_the_per_row_oracle_across_blocks():
     rng = np.random.default_rng(10)
-    rows = 3 * ingest._BLOCK_ROWS + 1000
+    rows = 3 * csvio._BLOCK_ROWS + 1000
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(TAXI_HEADER)
@@ -790,12 +790,14 @@ def _bike(preprocess, trips, riders):
 
 @property_settings
 @given(csv_texts(list(BIKE_TRIP_FIELDS), BIKE_TRIP_FIELDS, SPOILED_BIKE_TRIP_FIELDS),
-       csv_texts(list(RIDER_FIELDS), RIDER_FIELDS, SPOILED_RIDER_FIELDS), st.sampled_from([1, 3, 2048]))
-@example(*WARNING_CASE, 2048)
-def test_bike_ingest_of_paths_and_mappings_equals_the_per_row_oracle(trips, riders, block_rows):
+       csv_texts(list(RIDER_FIELDS), RIDER_FIELDS, SPOILED_RIDER_FIELDS), st.sampled_from([1, 3, 2048]),
+       st.sampled_from([1, 2, 3, 4]))
+@example(*WARNING_CASE, 2048, 1)
+def test_bike_ingest_of_paths_and_mappings_equals_the_per_row_oracle(trips, riders, block_rows, ranges):
     texts = (trips, riders)
     want, want_emitted = _bike(bike_preprocess_per_row, *(csv.DictReader(io.StringIO(t, newline="")) for t in texts))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(csvio, "_SPLIT_MIN_BYTES", 0), mock.patch.object(csvio, "MAX_WORKERS", ranges):
         paths = [Path(tmp) / "trips.csv", Path(tmp) / "riders.csv"]
         for path, text in zip(paths, texts):
             path.write_text(text, encoding="utf8", newline="")
