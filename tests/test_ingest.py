@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from odrelease import (
 )
 from odrelease import cli, csvio, ingest, parallel
 from odrelease.ingest import BikeConfig, round_coordinate
-from helpers import recording_pids
+from helpers import recording_pids, taxi_preprocess_per_row
 
 
 class TestTimeBucket:
@@ -414,6 +415,74 @@ class TestTaxiCsvRanges:
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             taxi_preprocess(path, TaxiConfig())
         assert multiprocessing.active_children() == []
+
+
+
+def world_rows(count=40):
+    """Valid card-paid trips with both ends anywhere on the globe, the box's
+    corners among them."""
+    rng = np.random.default_rng(29)
+    corners = [(-180.0, -90.0), (180.0, 90.0), (-179.96, 89.96), (179.96, -89.96)]
+    rows = []
+    for i in range(count):
+        if i < len(corners):
+            o = d = corners[i]
+        else:
+            o, d = rng.uniform((-180, -90), (180, 90), (2, 2)).tolist()
+        hour, fare = int(rng.integers(0, 24)), round(float(rng.uniform(2.5, 60.0)), 2)
+        rows.append(taxi_row(
+            pickup=f"2013-01-{i % 28 + 1:02d} {hour:02d}:{i % 60:02d}:00", o=o, d=d,
+            distance=float(rng.integers(0, 12)) / 4, fare=fare, tip=round(fare * float(rng.choice([0.0, 0.1, 0.3])), 2),
+            driver=f"d{rng.integers(0, 9)}",
+        ))
+    return rows
+
+
+class TestTaxiMerge:
+    WORLD = TaxiConfig(bbox=(-180.0, 180.0, -90.0, 90.0))
+
+    def test_a_world_box_reads_like_the_per_row_oracle(self, tmp_path, monkeypatch):
+        assert ingest._taxi_schema(self.WORLD).global_size > 2**31  # codes past int32
+        rows = world_rows()
+        want = taxi_preprocess_per_row(rows, self.WORLD)
+        assert want.stats.retained == len(rows)
+        path = tmp_path / "trips.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in [rows[0], *(row.values() for row in rows)]))
+        monkeypatch.setattr(csvio, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(csvio, "MAX_WORKERS", 4)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 2)
+        assert len(csvio._range_starts(path)) == 4
+        for records in (path, rows):
+            got = taxi_preprocess(records, self.WORLD)
+            assert (got.stats, got.histogram) == (want.stats, want.histogram)
+
+    def test_merging_scans_takes_at_most_24_bytes_a_retained_row(self):
+        # Four scans as four byte ranges of a taxi CSV hand them back: codes
+        # without dist and freq, of trips clustered around four hot spots as
+        # odbench's taxi CSV is, distances with ties, and Zipf-like drivers.
+        schema = ingest._taxi_schema(TaxiConfig())
+        rng = np.random.default_rng(30)
+        spots = np.array([[3.2, 3.5], [4.3, 3.7], [5.2, 2.4], [2.0, 2.0]])  # (lon, lat) tenths from the box's corner
+        pool, scans, rows = [f"D{i:04d}" for i in range(3000)], [], 50_000
+        for _ in range(4):
+            labels = np.zeros((len(schema.shape), rows), dtype=np.int64)  # dist and freq stay 0: the merge adds them
+            for at in (0, 2):  # origin, destination
+                xy = spots[rng.choice(4, rows, p=[0.55, 0.2, 0.15, 0.1])] + rng.normal(0.0, 0.5, (rows, 2))
+                labels[at:at + 2] = np.clip(np.rint(xy), 0, np.array(schema.shape[at:at + 2]) - 1).T
+            labels[4], labels[6] = rng.integers(0, 4, rows), rng.integers(0, 2, rows)
+            used, driver = np.unique(np.minimum(rng.zipf(1.3, rows), len(pool)) - 1, return_inverse=True)
+            codes = (schema.strides @ labels).astype(np.int32)
+            distance = np.round(rng.lognormal(0.6, 0.7, rows), 2)
+            stats = ingest.IngestStats(rows, rows, 0, 0, 0)
+            scans.append(ingest._TaxiScan(stats, codes, distance, driver.astype(np.int32), [pool[i] for i in used]))
+        tracemalloc.start()
+        try:
+            result = ingest._taxi_result(scans, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.histogram.total == 4 * rows
+        assert peak / (4 * rows) <= 24  # bytes per retained row over what the scans hold; 46 for whole-length copies
 
 
 def bike_config():
