@@ -133,24 +133,23 @@ def _csv_header(chunks: Iterator[str]) -> tuple[list[str], Iterator[str]]:
     return header, itertools.chain([current.read()], chunks)
 
 
-def _csv_blocks(chunks: Iterator[str], header: Sequence[str], names: Sequence[str]) -> Blocks:
-    """The blocks of _row_blocks for the CSV rows under header in chunks of
-    text, each chunk starting a row.
+def _line_blocks(chunks: Iterator[str], width: int) -> Iterator[tuple[Iterable[str], list[str] | None]]:
+    """Per block of the CSV text in chunks, each chunk starting a row, its
+    lines and, when they are rows of width fields, their fields end to end.
 
     In a chunk with no '"', "\\r\\n" and a bare "\\r" end a line as "\\n" does,
     and so does the end of the chunk: its lines are its rows.  They are split
-    at commas _BLOCK_ROWS lines at a time, column i of a block being
-    fields[i::len(header)], when no line of the block is blank and each holds
-    len(header) fields and at most csv.field_size_limit() characters: then
-    these are the fields csv.reader gives.  csv.reader reads every other
-    block, and every chunk from the first one holding a '"' on, as a quoted
-    field may run on into the next chunk.
+    at commas _BLOCK_ROWS lines at a time, line i's fields being
+    fields[i * width : (i + 1) * width], when no line of the block is blank
+    and each holds width fields and at most csv.field_size_limit()
+    characters: then these are the fields csv.reader gives.  Any other
+    block comes with None for its fields, and its lines are csv.reader's to
+    read, as are all the lines from the first chunk holding a '"' on (one
+    block), since a quoted field may run on into the next chunk.
     """
-    width = len(header)
-    index = {name: i for i, name in enumerate(header)}
     for chunk in chunks:
         if '"' in chunk:
-            yield from _row_blocks(csv.reader(_lines(itertools.chain([chunk], chunks))), header, names)
+            yield _lines(itertools.chain([chunk], chunks)), None
             return
         text = chunk.replace("\r\n", "\n").replace("\r", "\n") if "\r" in chunk else chunk
         if text and not text.endswith("\n"):
@@ -160,8 +159,21 @@ def _csv_blocks(chunks: Iterator[str], header: Sequence[str], names: Sequence[st
             *lines, text = text.split("\n", _BLOCK_ROWS)
             commas = list(map(str.count, lines, itertools.repeat(",")))
             if "" in lines or max(map(len, lines)) > limit or commas.count(width - 1) < len(lines):
-                yield from _row_blocks(csv.reader(lines), header, names)
-                continue
-            fields = ",".join(lines).split(",")
+                yield lines, None
+            else:
+                yield lines, ",".join(lines).split(",")
+
+
+def _csv_blocks(chunks: Iterator[str], header: Sequence[str], names: Sequence[str]) -> Blocks:
+    """The blocks of _row_blocks for the CSV rows under header in chunks of
+    text, each chunk starting a row: column i of a block that _line_blocks
+    splits at commas is fields[i::len(header)], and csv.reader reads the rest.
+    """
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    for lines, fields in _line_blocks(chunks, width):
+        if fields is None:
+            yield from _row_blocks(csv.reader(lines), header, names)
+        else:
             yield [list(map(str.strip, fields[index[name] :: width])) if name in index else [""] * len(lines)
                    for name in names]

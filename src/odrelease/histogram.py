@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import load_json
-from .csvio import _lines, text_chunks
+from .csvio import _BLOCK_ROWS, _csv_header, _line_blocks, text_chunks
 from .errors import DataError, EmptyInputError, SchemaError
 
 BucketKey = tuple[str, ...]
@@ -249,6 +249,50 @@ def rank_by_count(counts: np.ndarray, key_order: np.ndarray) -> np.ndarray:
     return key_order[np.argsort(key, kind="stable")]
 
 
+def _maybe_faulty(given: np.ndarray, integral: bool) -> bool:
+    """Whether some count may be faulty, by reductions over the counts: an
+    integer array can only hold a negative count or, past int64, one too
+    big, and a float array also a count that is not finite or, in integer
+    mode, integral.  True for any other array."""
+    if not len(given):
+        return False
+    if given.dtype.kind in "biu":
+        return bool(given.min() < 0 or integral and given.max() > _INT64_LIMIT - 1)
+    if given.dtype.kind != "f":
+        return True
+    low, high = given.min(), given.max()  # nan if any count is
+    if not 0 <= low <= high < math.inf:
+        return True
+    return integral and bool(high >= _INT64_LIMIT or (given != np.trunc(given)).any())
+
+
+def _raise_first_fault(schema: AttributeSchema, codes: np.ndarray, counts, given: np.ndarray, integral: bool) -> None:
+    """Raise the DataError of the first faulty count, named by its first
+    fault, if any count is faulty."""
+    try:  # an object array holds Python integers past 64 bits
+        floats = given.astype(np.float64)
+    except OverflowError:  # and past the float range
+        raise DataError("a count does not fit in a 64-bit integer") from None
+    big = given > _INT64_LIMIT - 1 if given.dtype.kind in "biu" else np.abs(floats) >= _INT64_LIMIT
+    faults = {  # a count's faults, in the order it reports them
+        "non-finite count {!r} for bucket {!r}": ~np.isfinite(floats),
+        "a count does not fit in a 64-bit integer": integral & big,
+        "negative count {!r} for bucket {!r}": floats < 0,
+        "non-integer count {!r} in integer mode": integral & (floats != np.trunc(floats)),
+    }
+    if (faulty := np.logical_or.reduce(list(faults.values()))).any():
+        i = int(np.argmax(faulty))
+        fault = next(message for message, mask in faults.items() if mask[i])
+        raise DataError(fault.format(np.asarray(counts, dtype=object)[i], schema.keys_at(codes[i : i + 1])[0]))
+
+
+def _integer_total(counts: np.ndarray) -> int:
+    """The exact sum of nonnegative int64 counts: numpy's while it cannot wrap."""
+    if len(counts) * int(counts.max(initial=0)) < _INT64_LIMIT:
+        return int(counts.sum())
+    return sum(counts.tolist())
+
+
 class Histogram:
     """Immutable map from bucket keys to positive counts.
 
@@ -276,32 +320,19 @@ class Histogram:
             raise DataError(f"bucket codes of shape {codes.shape} for counts of shape {given.shape}")
         if len(codes) and not 0 <= codes.min() <= codes.max() < schema.global_size:
             raise SchemaError(f"a bucket code is outside [0, {schema.global_size})")
-        try:  # an object array holds Python integers past 64 bits
-            floats = given.astype(np.float64)
-        except OverflowError:  # and past the float range
-            raise DataError("a count does not fit in a 64-bit integer") from None
-        big = given > _INT64_LIMIT - 1 if given.dtype.kind in "biu" else np.abs(floats) >= _INT64_LIMIT
-        faults = {  # a count's faults, in the order it reports them
-            "non-finite count {!r} for bucket {!r}": ~np.isfinite(floats),
-            "a count does not fit in a 64-bit integer": integral & big,
-            "negative count {!r} for bucket {!r}": floats < 0,
-            "non-integer count {!r} in integer mode": integral & (floats != np.trunc(floats)),
-        }
-        if (faulty := np.logical_or.reduce(list(faults.values()))).any():
-            i = int(np.argmax(faulty))  # the first faulty count, named by its first fault
-            fault = next(message for message, mask in faults.items() if mask[i])
-            raise DataError(fault.format(np.asarray(counts, dtype=object)[i], schema.keys_at(codes[i : i + 1])[0]))
+        if _maybe_faulty(given, integral):
+            _raise_first_fault(schema, codes, counts, given, integral)
         counts = np.asarray(counts, dtype=np.int64 if integral else np.float64)  # as given: a list's ints exactly
         order = np.argsort(codes)
         codes, counts = codes[order], counts[order]
         if len(repeated := np.flatnonzero(codes[1:] == codes[:-1])):
             code = codes[repeated[0] : repeated[0] + 1]
             raise DataError(f"bucket code {code[0].item()} is given more than once: {schema.keys_at(code)[0]}")
-        nonzero = counts != 0
-        self.schema, self.integral = schema, integral
-        self.codes, self.counts = codes[nonzero], counts[nonzero]
+        if not (nonzero := counts != 0).all():
+            codes, counts = codes[nonzero], counts[nonzero]
+        self.schema, self.integral, self.codes, self.counts = schema, integral, codes, counts
         try:
-            self.total = sum(self.counts.tolist()) if integral else _exact_sum(self.counts)
+            self.total = _integer_total(counts) if integral else _exact_sum(counts)
         except OverflowError:  # fractional counts whose total is past the float range
             raise DataError("fractional counts total more than a float holds") from None
         if integral:
@@ -490,35 +521,103 @@ def write_histogram_csv(h: Histogram, path) -> None:
             writer.writerow([*key, fmt(c)])
 
 
+def _count(raw: str, where: str) -> int | float:
+    """A count field as int, else as float, else a DataError at where."""
+    try:
+        return int(raw)
+    except ValueError:
+        try:
+            return float(raw)
+        except ValueError:
+            raise DataError(f"{where}: bad count {raw!r}") from None
+
+
+def _count_part(values: list) -> np.ndarray | list:
+    """A block's parsed counts as an array of the dtype np.asarray gives a
+    list of all the file's counts, which holds them exactly: int64 for ints
+    that fit it, float64 for floats; any other block stays a list."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return values
+
+
 def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
     """Inverse of write_histogram_csv; mode is inferred from the count column.
 
     The whole file is decoded by text_chunks before a row is parsed, so a
     NUL byte or a byte that is not UTF-8 is a DataError naming the file
-    (and, for the latter, its offset in it) whatever else the file holds."""
-    reader = csv.reader(_lines(list(text_chunks(path))))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty histogram file") from None
+    (and, for the latter, its offset in it) whatever else the file holds.
+    The rows are read a block of lines at a time: a block that
+    csvio._line_blocks splits at commas has one field per column in each
+    line, its labels are encoded a column at a time and its counts parsed
+    together; csv.reader reads every other block row by row.  Only codes
+    and counts are kept of a block.  Errors are those of a read of one row
+    at a time: the first row with a wrong field count or a bad count, by
+    its path:line (blank rows are skipped but counted), then the first
+    label outside its domain, then Histogram's checks of the counts.
+    """
+    chunks = list(text_chunks(path))
+    if not any(chunks):
+        raise DataError(f"{path}: empty histogram file")
+    chunks.reverse()
+    header, rest = _csv_header(chunks.pop() for _ in range(len(chunks)))  # each chunk freed once read
     expected = list(schema.names) + [_COUNT_COLUMN]
     if header != expected:
         raise SchemaError(f"{path}: header {header!r} does not match schema columns {expected!r}")
-    keys, counts, integral = [], [], True
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise DataError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
-        raw = row[-1]
-        try:
-            value = int(raw)
-        except ValueError:
+    width, lineno = len(expected), 1  # lineno: of the last row read
+    codes, counts, integral, outside = [], [], True, None
+
+    def add(columns: Sequence[Sequence[str]], values: list) -> None:
+        """Keep the codes and counts of a block's label columns and parsed counts."""
+        nonlocal integral, outside
+        code = np.zeros(len(values), dtype=np.int64)
+        if outside is None:
             try:
-                value = float(raw)
+                for column, index, stride in zip(columns, schema._label_indexes, schema.strides.tolist()):
+                    code += np.fromiter(map(index.__getitem__, column), dtype=np.int64, count=len(code)) * stride
+            except KeyError:  # named by validate_key once every row has been read
+                outside = list(zip(*columns))
+        codes.append(code)
+        counts.append(_count_part(values))
+        integral = integral and float not in map(type, values)
+
+    for lines, fields in _line_blocks(rest, width):
+        if fields is not None:
+            try:
+                values = list(map(int, fields[width - 1 :: width]))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad count {raw!r}") from None
-            integral = False
-        keys.append(row[:-1])
-        counts.append(value)
-    return Histogram.from_codes(schema, schema.encode(keys), counts, integral)  # _store checks every count
+                values = [_count(raw, f"{path}:{lineno + 1 + i}") for i, raw in enumerate(fields[width - 1 :: width])]
+            add([fields[i::width] for i in range(width - 1)], values)
+            lineno += len(lines)
+            continue
+        keys, values = [], []
+        for row in csv.reader(lines):
+            lineno += 1
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            keys.append(row[:-1])
+            values.append(_count(row[-1], f"{path}:{lineno}"))
+            if len(keys) == _BLOCK_ROWS:
+                add(list(zip(*keys)), values)
+                keys, values = [], []
+        if keys:
+            add(list(zip(*keys)), values)
+    for key in outside or ():
+        schema.validate_key(key)
+    arrays = bool(counts) and all(isinstance(part, np.ndarray) for part in counts)
+    if arrays and not integral:  # to float64, unless a negative int would be named as a float
+        arrays = all(part.dtype.kind == "f" or part.min() >= 0 for part in counts)
+    if arrays:
+        counts = np.concatenate(counts)
+    else:  # the Python values, as parsed
+        counts = [value for part in counts for value in (part.tolist() if isinstance(part, np.ndarray) else part)]
+    codes = np.concatenate([np.zeros(0, dtype=np.int64), *codes])
+    return Histogram.from_codes(schema, codes, counts, integral)  # _store checks every count

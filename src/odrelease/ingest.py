@@ -281,14 +281,31 @@ def _taxi_schema(config: TaxiConfig) -> AttributeSchema:
 
 class _TaxiScan(NamedTuple):
     """What one run of the block scanner keeps of its rows: their counts, and
-    per retained row its bucket code without dist and freq, its distance and
-    the position of its driver in `drivers`."""
+    per retained row its bucket code without dist and freq, the position of
+    its distance in `distances` and that of its driver in `drivers`.  The
+    positions take the narrowest unsigned dtype that holds them, so a row
+    takes 8 bytes while there are at most 2**16 distinct distances and
+    drivers and 2**31 buckets."""
 
     stats: IngestStats
     codes: np.ndarray  # int32 while the schema has at most 2**31 buckets, else int64
-    distance: np.ndarray  # float64
-    driver: np.ndarray  # int32
+    distance: np.ndarray  # position in distances
+    driver: np.ndarray  # position in drivers
+    distances: np.ndarray  # the distinct distances, float64, ascending
     drivers: list[str]
+
+
+def _position_dtype(items) -> np.dtype:
+    """The narrowest unsigned dtype that holds every position in items."""
+    return np.min_scalar_type(max(len(items) - 1, 0))
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """The parts end to end as one array of dtype; parts is emptied, so
+    each part is freed as soon as it is copied."""
+    joined = np.concatenate([np.zeros(0, dtype=dtype), *parts], dtype=dtype)
+    parts.clear()
+    return joined
 
 
 def _checked(stats: IngestStats, kind: str) -> IngestStats:
@@ -302,7 +319,12 @@ def _checked(stats: IngestStats, kind: str) -> IngestStats:
 
 def _scan_taxi(blocks: Blocks, config: TaxiConfig, schema: AttributeSchema) -> _TaxiScan:
     """Check, count and code the taxi rows of blocks, each a block's fields
-    under the names of config.columns, as block_ranges gives them."""
+    under the names of config.columns, as block_ranges gives them.
+
+    Each block's distances are numbered as they are first met and its
+    positions kept in the dtype that holds the distinct values so far; at
+    the end the numbers are turned into positions in the sorted distinct
+    distances, so no array of a float per row is kept past its block."""
     lon_min, lon_max, lat_min, lat_max = config.bbox
     card = set(config.card_values)
     strides = schema.strides.tolist()
@@ -311,8 +333,10 @@ def _scan_taxi(blocks: Blocks, config: TaxiConfig, schema: AttributeSchema) -> _
 
     rows = malformed = dropped_missing = dropped_filtered = 0
     drivers: dict[str, int] = {}
+    distances: dict[float, int] = {}  # -0.0 and 0.0 are one key
     dates: dict[int, bool] = {}
-    kept = []  # per block: the retained rows' codes without dist and freq, distances, driver positions
+    # per block, of the retained rows: codes without dist and freq, distance numbers, driver positions
+    kept = ([], [], [])
     for block in blocks:
         n = len(block[0])
         column = dict(zip(config.columns, block))
@@ -333,28 +357,33 @@ def _scan_taxi(blocks: Blocks, config: TaxiConfig, schema: AttributeSchema) -> _
         codes = pickup[in_box] * dtype(strides[4]) + tip_high[in_box] * dtype(strides[6])
         for values, origin, stride in zip(numbers[:4, in_box], origins, strides):
             codes += (_tenths_of(values) - origin) * stride
-        kept.append((codes, distance[in_box], np.array(ids, dtype=np.int32)))
+        met, inverse = np.unique(distance[in_box], return_inverse=True)
+        number = np.array([distances.setdefault(value, len(distances)) for value in met.tolist()], dtype=np.int64)
+        for part, array in zip(kept, (codes, number.astype(_position_dtype(distances))[inverse],
+                                      np.array(ids, dtype=_position_dtype(drivers)))):
+            part.append(array)
         n_present, n_ok = int(np.count_nonzero(present)), int(np.count_nonzero(ok))
         rows += n
         dropped_missing += n - n_present
         dropped_filtered += n_present - len(pickup) + n_ok - len(ids)  # not paid by card, outside the box
         malformed += len(pickup) - n_ok
 
-    codes, distance, driver = [np.concatenate(parts) for parts in zip(*kept)] or [
-        np.zeros(0, dtype=part) for part in (dtype, np.float64, np.int32)
-    ]
+    codes, number, driver = map(_joined, kept, (dtype, _position_dtype(distances), _position_dtype(drivers)))
+    values, position = np.unique(np.array(list(distances), dtype=np.float64), return_inverse=True)
     stats = IngestStats(rows, len(codes), dropped_missing, dropped_filtered, malformed)
-    return _TaxiScan(stats, codes, distance, driver, list(drivers))
+    return _TaxiScan(stats, codes, position.astype(number.dtype)[number], driver, values, list(drivers))
 
 
 def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestResult:
     """The histogram of the scans' retained rows, and their summed counts.
 
-    The scans are merged one at a time, with one copy of the distances and
-    no other array as long as all the retained rows or as the bucket domain:
-    each driver's trips are counted per scan, the distance tertile cuts are
-    order statistics of that copy, and each scan's codes are finished in
-    place (so the scans are changed) and counted before the per-scan
+    The scans are merged one at a time, with no array as long as all the
+    retained rows or as the bucket domain: each driver's trips and each
+    distinct distance's rows are counted per scan; the distance tertile
+    cuts, order statistics of all the retained distances, are read off the
+    cumulative counts of the distinct distances; and each scan's codes are
+    finished in place (so the scans are changed), its dist labels looked up
+    from those of its distinct distances, and counted before the per-scan
     (code, count) pairs are added up.
     """
     stats = _checked(IngestStats(*map(sum, zip(*(astuple(scan.stats) for scan in scans)))), "taxi")
@@ -365,16 +394,18 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
         trips[at] += np.bincount(scan.driver, minlength=len(at))  # a scan lists each of its drivers once
     freq = tertiles(dict(zip(drivers, trips.tolist())))
     frequency = np.array([TERTILE_LABELS.index(freq[d]) for d in drivers], dtype=np.int64) * schema.strides[7]
-    distance = np.concatenate([scan.distance for scan in scans])
-    distance.sort()  # in place; on 820k distances 5x faster than a partition at the two cuts
-    t1, t2 = distance[math.ceil(len(distance) / 3) - 1], distance[math.ceil(2 * len(distance) / 3) - 1]
-    del distance
+    values, inverse = np.unique(np.concatenate([scan.distances for scan in scans]), return_inverse=True)
+    rows = np.zeros(len(values), dtype=np.int64)
+    for scan, at in zip(scans, np.split(inverse, np.cumsum([len(scan.distances) for scan in scans[:-1]]))):
+        rows[at] += np.bincount(scan.distance, minlength=len(at))  # a scan lists each of its distances once
+    below = np.cumsum(rows)  # the rows at or below each distinct distance
+    cuts = values[np.searchsorted(below, [math.ceil(stats.retained / 3), math.ceil(2 * stats.retained / 3)])]
     parts = []
     for scan, at in zip(scans, ids):
         codes = scan.codes
         codes += frequency[at].astype(codes.dtype)[scan.driver]
-        for cut in (t1, t2):  # dist: low, medium, high
-            codes += (scan.distance > cut) * codes.dtype.type(schema.strides[5])
+        dist = np.searchsorted(cuts, scan.distances) * schema.strides[5]  # the cuts below: low, medium, high
+        codes += dist.astype(codes.dtype)[scan.distance]
         parts.append(np.unique(codes, return_counts=True))
     codes, counts = map(np.concatenate, zip(*parts))
     codes, inverse = np.unique(codes, return_inverse=True)
@@ -404,9 +435,12 @@ def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, co
     record at a time, so passing the path is the fast way to read a file.
     If more than one range fails, the first range's error is raised, as a
     read of the whole file from the start would raise it.  Each range hands
-    back per retained row a code without dist and freq, a distance and a
-    driver position, and this process merges the ranges one at a time (see
-    _taxi_result), so no box is too large to ingest.
+    back per retained row a code without dist and freq and the positions of
+    its distance and driver in the range's distinct distances and drivers,
+    8 bytes a row on TLC-shaped data (see _TaxiScan), and this process
+    merges the ranges one at a time, the distance cuts taken from the
+    distinct distances and their counts (see _taxi_result), so no box is
+    too large to ingest.
     """
     schema = _taxi_schema(config)
     sources = block_ranges(records, list(config.columns.values()))

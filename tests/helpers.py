@@ -1,5 +1,6 @@
 """Shared generators, brute-force oracles and process probes for the test suite."""
 
+import csv
 import itertools
 import math
 import multiprocessing
@@ -8,7 +9,8 @@ import warnings
 
 import numpy as np
 
-from odrelease import AttributeSchema, DataError, EmptyInputError, Histogram, RepairSpec
+from odrelease import AttributeSchema, DataError, EmptyInputError, Histogram, RepairSpec, SchemaError
+from odrelease.csvio import _lines, text_chunks
 from odrelease.histogram import align, bucket_groups
 from odrelease.ingest import (
     TERTILE_LABELS,
@@ -47,6 +49,37 @@ def assert_no_child_left():
     except ChildProcessError:
         return
     raise AssertionError("a child process is left")
+
+
+def read_histogram_csv_per_row(path, schema):
+    """read_histogram_csv by one csv.reader over the whole decoded file, a
+    row at a time, every key and count kept until the last row is read."""
+    reader = csv.reader(_lines(list(text_chunks(path))))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty histogram file") from None
+    expected = list(schema.names) + ["count"]
+    if header != expected:
+        raise SchemaError(f"{path}: header {header!r} does not match schema columns {expected!r}")
+    keys, counts, integral = [], [], True
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise DataError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
+        raw = row[-1]
+        try:
+            value = int(raw)
+        except ValueError:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad count {raw!r}") from None
+            integral = False
+        keys.append(row[:-1])
+        counts.append(value)
+    return Histogram.from_codes(schema, schema.encode(keys), counts, integral)
 
 
 def random_full_support_case(rng, binary_xy=False, max_labels=5):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,9 +21,27 @@ from odrelease import (
     support_union,
     write_histogram_csv,
 )
-from odrelease import csvio
+from odrelease import TaxiConfig, csvio, ingest
 from odrelease.histogram import align
 from helpers import align_union1d
+
+
+def taxi_sized_histogram():
+    """33,867 buckets of the taxi schema, as many as the taxi ingest of the
+    benchmark's 1M-row CSV fills, with about its 24 trips a bucket."""
+    schema = ingest._taxi_schema(TaxiConfig())
+    rng = np.random.default_rng(32)
+    codes = rng.choice(schema.global_size, 33_867, replace=False)
+    return Histogram.from_codes(schema, codes, rng.geometric(1 / 24, len(codes)))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def two_attr_schema():
@@ -440,6 +459,40 @@ class TestCsv:
         path.write_bytes(b"first,second,count\na,0,1\x00\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))} holds a NUL byte$"):
             read_histogram_csv(path, two_attr_schema())
+
+    def test_reading_a_taxi_sized_histogram_takes_at_most_240_bytes_a_row(self, tmp_path):
+        h = taxi_sized_histogram()
+        path = tmp_path / "h.csv"
+        write_histogram_csv(h, path)
+        again, peak = traced_peak(read_histogram_csv, path, h.schema)
+        assert again == h
+        assert peak / len(h) <= 240  # 47 bytes a row in the file; 797 when every row is kept as a Python list
+
+
+class TestStore:
+    def test_storing_codes_in_ranking_order_takes_at_most_32_bytes_a_code(self):
+        h = taxi_sized_histogram()
+        order = h.ranking()
+        stored, peak = traced_peak(Histogram.from_codes, h.schema, h.codes[order], h.counts[order])
+        assert stored == h
+        assert peak / len(h) <= 32  # the 16 it keeps; 63 with a float copy, four full fault masks and a list sum
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.array([1, -2, -3]), "negative count -2 for bucket ('a', '1')"),
+        (np.array([1, 2**63, 2], dtype=np.uint64), "a count does not fit in a 64-bit integer"),
+        ([1, 2**64, 2], "a count does not fit in a 64-bit integer"),
+        (np.array([1.0, np.nan, -1.0]), "non-finite count nan for bucket ('a', '1')"),
+        (np.array([1.0, -1.0, 0.5]), "negative count -1.0 for bucket ('a', '1')"),
+        (np.array([1.0, 2.0, 0.5]), "non-integer count 0.5 in integer mode"),
+        (np.array([1.0, 2.0**63, 0.5]), "a count does not fit in a 64-bit integer"),
+    ])
+    def test_the_first_faulty_count_is_named_by_its_first_fault(self, counts, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Histogram.from_codes(two_attr_schema(), [0, 1, 2], counts)
+
+    def test_a_total_past_int64_is_a_data_error(self):
+        with pytest.raises(DataError, match="more than a 64-bit integer holds"):
+            Histogram.from_codes(two_attr_schema(), [0, 1, 2], np.array([2**62, 2**62, 2**62]))
 
 
 def test_merge_adds_counts():

@@ -456,7 +456,7 @@ class TestTaxiMerge:
             got = taxi_preprocess(records, self.WORLD)
             assert (got.stats, got.histogram) == (want.stats, want.histogram)
 
-    def test_merging_scans_takes_at_most_24_bytes_a_retained_row(self):
+    def test_merging_scans_takes_at_most_16_bytes_a_retained_row(self):
         # Four scans as four byte ranges of a taxi CSV hand them back: codes
         # without dist and freq, of trips clustered around four hot spots as
         # odbench's taxi CSV is, distances with ties, and Zipf-like drivers.
@@ -472,9 +472,10 @@ class TestTaxiMerge:
             labels[4], labels[6] = rng.integers(0, 4, rows), rng.integers(0, 2, rows)
             used, driver = np.unique(np.minimum(rng.zipf(1.3, rows), len(pool)) - 1, return_inverse=True)
             codes = (schema.strides @ labels).astype(np.int32)
-            distance = np.round(rng.lognormal(0.6, 0.7, rows), 2)
+            distances, distance = np.unique(np.round(rng.lognormal(0.6, 0.7, rows), 2), return_inverse=True)
             stats = ingest.IngestStats(rows, rows, 0, 0, 0)
-            scans.append(ingest._TaxiScan(stats, codes, distance, driver.astype(np.int32), [pool[i] for i in used]))
+            scans.append(ingest._TaxiScan(stats, codes, distance.astype(np.uint16), driver.astype(np.uint16),
+                                          distances, [pool[i] for i in used]))
         tracemalloc.start()
         try:
             result = ingest._taxi_result(scans, schema)
@@ -482,7 +483,58 @@ class TestTaxiMerge:
         finally:
             tracemalloc.stop()
         assert result.histogram.total == 4 * rows
-        assert peak / (4 * rows) <= 24  # bytes per retained row over what the scans hold; 46 for whole-length copies
+        assert peak / (4 * rows) <= 16  # bytes per retained row over what the scans hold; 46 for whole-length copies
+
+    @pytest.mark.parametrize("distinct,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_a_scan_keeps_positions_in_the_narrowest_dtype(self, distinct, dtype):
+        rows = [taxi_row(distance=(i % distinct) / 4 or -0.0, driver=f"d{i % 3}") for i in range(2 * distinct + 2)]
+        rows[1]["trip_distance"] = "0.0"  # -0.0 and 0.0 are one distance
+        schema = ingest._taxi_schema(TaxiConfig())
+        (blocks,) = csvio.block_ranges(rows, list(TaxiConfig().columns.values()))
+        scan = ingest._scan_taxi(blocks, TaxiConfig(), schema)
+        assert (scan.codes.dtype, scan.distance.dtype, scan.driver.dtype) == (np.int32, dtype, np.uint8)
+        assert scan.distances.tolist() == sorted({(i % distinct) / 4 for i in range(distinct)})
+        assert scan.distances[scan.distance].tolist() == [float(row["trip_distance"]) for row in rows]
+        assert [scan.drivers[i] for i in scan.driver.tolist()] == [row["hack_license"] for row in rows]
+
+
+def ranged_trips_csv(path, ranges):
+    """A taxi trips CSV holding the rows of each of ranges as one of its byte
+    ranges: lines padded to one length past the header's with trailing
+    spaces, which the reader strips, and ranges to one number of lines with
+    cash-paid trips."""
+    lines = max(map(len, ranges))
+    padded = [[*rows, *[taxi_row(payment="CSH")] * (lines - len(rows))] for rows in ranges]
+    text = [[",".join(row.values()) for row in rows] for rows in padded]
+    header = ",".join(taxi_row())
+    width = max(len(header), *(len(line) for rows in text for line in rows))
+    data = "".join(line.ljust(width) + "\n" for line in [header, *(line for rows in text for line in rows)])
+    Path(path).write_text(data)
+    return [len(header) + 1 + (width + 1) * lines * i for i in range(len(ranges))]
+
+
+TERTILE_CASES = {  # the distances of the retained trips of each of four byte ranges
+    "all-equal": [[2.5] * 3, [2.5] * 2, [2.5] * 4, [2.5]],
+    "signed-zeros": [[-0.0, 1.0], [0.0, 0.0, 2.0], [-0.0, 3.0], [0.0, -0.0]],
+    "one-a-range": [[3.0], [1.0], [2.0], [1.0]],
+    "a-range-retains-none": [[1.0, 4.0], [2.0, 2.0, 5.0], [], [3.0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERTILE_CASES))
+def test_tertile_cuts_across_ranges_read_like_the_per_row_oracle(tmp_path, monkeypatch, case):
+    ranges = [[taxi_row(distance=value, driver=f"d{(r + i) % 3}") for i, value in enumerate(values)]
+              for r, values in enumerate(TERTILE_CASES[case])]
+    path = tmp_path / "trips.csv"
+    offsets = ranged_trips_csv(path, ranges)
+    monkeypatch.setattr(csvio, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(csvio, "MAX_WORKERS", 4)
+    monkeypatch.setattr(parallel, "cpus_available", lambda: 2)
+    assert csvio._range_starts(path) == [0, *offsets[1:]]
+    want = taxi_preprocess_per_row([row for rows in ranges for row in rows], TaxiConfig())
+    got = taxi_preprocess(path, TaxiConfig())
+    assert got.histogram == want.histogram
+    assert got.stats.retained == want.stats.retained
 
 
 def bike_config():

@@ -43,7 +43,7 @@ from odrelease import (
     taxi_preprocess,
     write_histogram_csv,
 )
-from odrelease import csvio, ingest, metrics, parallel
+from odrelease import csvio, histogram, ingest, metrics, parallel
 from odrelease.histogram import _exact_sum, align, bucket_groups, rank_by_count
 from odrelease.ingest import DEFAULT_TAXI_COLUMNS, _tenths_range, round_coordinate
 from odrelease.metrics import (
@@ -72,6 +72,7 @@ from helpers import (
     ranking_of,
     repair_object,
     synth_generate_choice,
+    read_histogram_csv_per_row,
     taxi_preprocess_per_row,
 )
 
@@ -367,6 +368,60 @@ def test_csv_round_trip(data, integral):
         path = Path(tmp) / "h.csv"
         write_histogram_csv(h, path)
         assert read_histogram_csv(path, schema) == h
+
+
+CSV_LABELS = ["a", "b", " a", "b c", "x,y", 'q"t', "é", "L" * 150]  # the last is over the field limit below
+CSV_COUNTS = ["1", "7", "0", "-5", " 7", "1_000", "12.5", "2.0", "-0.5", "inf", "nan", "1e3", "x", "", "٣",
+              str(2**62 + 1), str(2**63), str(2**64), "1" * 5000]
+
+
+@st.composite
+def histogram_csv_bytes(draw, names):
+    """The bytes of a histogram CSV of the attributes names, mostly well
+    formed: rows short or long, blank or quoted, labels outside the domain,
+    counts of every kind, any line ending, and a broken header or byte."""
+    rows = [[*names, "count"]] if draw(st.integers(0, 9)) else draw(st.sampled_from([[], [[]], [["a", "count"]]]))
+    for _ in range(draw(st.integers(0, 8))):
+        row = [*(draw(st.sampled_from(CSV_LABELS + ["zz"])) for _ in names), draw(st.sampled_from(CSV_COUNTS))]
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        rows.append({"row": row, "blank": [], "short": row[:-1], "long": [*row, "1"]}[shape])
+    text = io.StringIO()
+    for row in rows:
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL]))
+        csv.writer(text, quoting=quoting, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerow(row)
+    data = text.getvalue().encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\0", b"\xff"])) + data[at:]
+    return data
+
+
+def read_outcome(read, path, schema):
+    try:
+        return read(path, schema)
+    except (DataError, SchemaError, csv.Error, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@property_settings
+@given(st.data(), st.sampled_from([1 << 20, 16, 1]), st.sampled_from([2048, 2, 1]))
+def test_a_histogram_csv_reads_like_the_per_row_reader(data, chunk_bytes, block_rows):
+    domains = {name: tuple(data.draw(st.lists(st.sampled_from(CSV_LABELS), min_size=1, max_size=4, unique=True)))
+               for name in data.draw(st.sampled_from([("o",), ("o", "d")]))}
+    schema = AttributeSchema(tuple(domains.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.csv"
+        path.write_bytes(data.draw(histogram_csv_bytes(schema.names)))
+        limit = csv.field_size_limit(100)
+        try:
+            with mock.patch.object(csvio, "_CHUNK_BYTES", chunk_bytes), \
+                    mock.patch.object(csvio, "_BLOCK_ROWS", block_rows), \
+                    mock.patch.object(histogram, "_BLOCK_ROWS", block_rows):
+                got = read_outcome(read_histogram_csv, path, schema)
+            want = read_outcome(read_histogram_csv_per_row, path, schema)
+        finally:
+            csv.field_size_limit(limit)
+    assert got == want
 
 
 @property_settings
