@@ -1,14 +1,14 @@
 """Command-line pipelines: ingest/synthesize, repair, privatize, measure.
 
 Subcommands: ingest, synth, repair, privatize, release, measure, sweep.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 empty release
-(the warning-as-status default; set "empty_release_ok": true to get 0).
-An input that cannot be read, an --out that cannot be created, or a config
-or schema file that is not UTF-8 JSON exits 2.  A CSV or neighbourhood file
-that is not UTF-8, holds a NUL byte or has a field over the csv module's
-limit exits 3.  main is the one place that maps exceptions to these codes.
-A command makes --out only once it has computed every output, so a config or
-data error leaves no output directory.
+Exit codes: 0 success, 2 configuration or resource error, 3 data error, 4
+empty release (the warning-as-status default; set "empty_release_ok": true
+to get 0).  An input that cannot be read, an --out that cannot be created,
+a config or schema file that is not UTF-8 JSON, a forked worker that dies
+and memory that runs out exit 2.  A CSV or neighbourhood file that is not
+UTF-8, holds a NUL byte or has a field over the csv module's limit exits 3.
+main is the one place that maps exceptions to these codes.  A command makes
+--out only once it has computed every output: exiting 2 or 3, it makes none.
 Every run is reproducible bit for bit given its config and seed: all
 randomized stages draw from labelled substreams of one master seed.
 """
@@ -529,6 +529,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             whole(args.seed, "--seed")
         return args.fn(args)
+    except (ChildProcessError, MemoryError) as exc:  # a worker that died (an OSError) or memory that ran out
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError) as exc:  # an OSError names its path: an input not read, an --out not made
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ every (count desc, key asc) order is sorted by one helper, rank_by_count.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -109,18 +110,29 @@ class AttributeSchema:
                 raise SchemaError(f"label {label!r} not in domain of attribute {name!r}")
         return key
 
+    def encode_columns(self, columns: Sequence[Iterable[str]], count: int) -> np.ndarray:
+        """Row-major codes of count buckets given as one column of count labels
+        per attribute, by one dict lookup per label; -1 for a bucket with a
+        label outside its attribute's domain.  The one encoder of labels."""
+        lookups = (map(index.get, column, itertools.repeat(-1)) for column, index in zip(columns, self._label_indexes))
+        positions = np.fromiter(itertools.chain.from_iterable(lookups), dtype=np.int64, count=len(self.names) * count)
+        positions = positions.reshape(len(self.names), count)  # a row of label positions per attribute
+        codes = self.strides @ positions
+        codes[(positions < 0).any(axis=0)] = -1
+        return codes
+
     def encode(self, keys: Iterable[Sequence[str]]) -> np.ndarray:
         """Row-major codes of bucket keys; a key outside the schema is a SchemaError."""
-        keys, indexes = list(keys), self._label_indexes
-        try:  # one dict lookup per label; validate_key names the first fault
-            positions = [[labels[label] for label, labels in zip(key, indexes)] for key in keys]
-            valid = not set(map(len, keys)) - {len(indexes)}
-        except (KeyError, TypeError):
+        keys = list(keys)
+        try:
+            codes = self.encode_columns(list(zip(*keys)), len(keys))
+            valid = set(map(len, keys)) <= {len(self.names)} and not (codes < 0).any()
+        except (TypeError, ValueError):  # ValueError: a key too short to give every column
             valid = False
-        if not valid:
+        if not valid:  # validate_key names the first fault
             for key in keys:
                 self.validate_key(key)
-        return np.array(positions, dtype=np.int64).reshape(-1, len(self.names)) @ self.strides
+        return codes
 
     def label_positions(self, codes) -> np.ndarray:
         """The (bucket, attribute) label positions of row-major bucket codes,
@@ -576,13 +588,9 @@ def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
     def add(columns: Sequence[Sequence[str]], values: list) -> None:
         """Keep the codes and counts of a block's label columns and parsed counts."""
         nonlocal integral, outside
-        code = np.zeros(len(values), dtype=np.int64)
-        if outside is None:
-            try:
-                for column, index, stride in zip(columns, schema._label_indexes, schema.strides.tolist()):
-                    code += np.fromiter(map(index.__getitem__, column), dtype=np.int64, count=len(code)) * stride
-            except KeyError:  # named by validate_key once every row has been read
-                outside = list(zip(*columns))
+        code = schema.encode_columns(columns, len(values))
+        if outside is None and (code < 0).any():  # named by validate_key once every row has been read
+            outside = list(zip(*columns))[int(np.argmax(code < 0))]
         codes.append(code)
         counts.append(_count_part(values))
         integral = integral and float not in map(type, values)
@@ -610,8 +618,8 @@ def read_histogram_csv(path, schema: AttributeSchema) -> Histogram:
                 keys, values = [], []
         if keys:
             add(list(zip(*keys)), values)
-    for key in outside or ():
-        schema.validate_key(key)
+    if outside is not None:
+        schema.validate_key(outside)
     arrays = bool(counts) and all(isinstance(part, np.ndarray) for part in counts)
     if arrays and not integral:  # to float64, unless a negative int would be named as a float
         arrays = all(part.dtype.kind == "f" or part.min() >= 0 for part in counts)

@@ -8,9 +8,9 @@ seeded synthetic ride-hailing generator used by the experiments.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import itertools
 import math
-import operator
 import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, field
@@ -21,7 +21,7 @@ import numpy as np
 from .config import finite, labels, mapping, numbers, text_map, whole
 from .csvio import Blocks, block_ranges
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, Histogram
+from .histogram import AttributeSchema, Histogram, group_by, merge
 from .parallel import forked_map
 from .rng import substream
 
@@ -121,15 +121,8 @@ def tertiles(totals: Mapping) -> dict:
     m = len(order)
     s1 = math.ceil(m / 3)
     s2 = math.ceil((m - s1) / 2)
-    out = {}
-    for i, entity in enumerate(order):
-        if i < s1:
-            out[entity] = "low"
-        elif i < s1 + s2:
-            out[entity] = "medium"
-        else:
-            out[entity] = "high"
-    return out
+    sizes = (s1, s2, m - s1 - s2)  # of the runs of low, medium and high entities in order
+    return dict(zip(order, itertools.chain.from_iterable(map(itertools.repeat, TERTILE_LABELS, sizes))))
 
 
 def _tenths(value: float) -> int:
@@ -194,10 +187,11 @@ _NUMBER_ROLES = (
 _STRICT_TIME = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # year, month, day, hour, minute, second
 _HOUR_BUCKETS = np.array([TIME_BUCKETS.index(time_bucket(_dt.time(h))) for h in range(24)])
+_TIME_LABELS = np.array([*TIME_BUCKETS, None], dtype=object)  # by TIME_BUCKETS position, and None at -1
 
 
 def _pickup_buckets(times: list[str], dates: dict[int, bool]) -> np.ndarray:
-    """TIME_BUCKETS position of each pickup time, -1 where time_bucket rejects it.
+    """TIME_BUCKETS position of each time, -1 where time_bucket rejects it.
 
     The strict form YYYY-MM-DD HH:MM:SS in ASCII digits, with fields in range
     and a valid date, is decoded in numpy; every other form goes through
@@ -234,13 +228,15 @@ def _is_date(yyyymmdd: int) -> bool:
     return True
 
 
-def _empty_positions(values: list[str]) -> list[int]:
-    """Positions of the empty strings in values, found by C-level list scans."""
-    positions, at = [], -1
-    for _ in range(values.count("")):
-        at = values.index("", at + 1)
-        positions.append(at)
-    return positions
+def _present(block: list[list[str]]) -> np.ndarray:
+    """Whether each row of block has every field, by C-level scans of its columns."""
+    present = np.ones(len(block[0]), dtype=bool)
+    for values in block:
+        at = -1
+        for _ in range(values.count("")):
+            at = values.index("", at + 1)
+            present[at] = False
+    return present
 
 
 def _floats(values: list[str]) -> np.ndarray:
@@ -340,9 +336,7 @@ def _scan_taxi(blocks: Blocks, config: TaxiConfig, schema: AttributeSchema) -> _
     for block in blocks:
         n = len(block[0])
         column = dict(zip(config.columns, block))
-        present = np.ones(n, dtype=bool)
-        for values in block:
-            present[_empty_positions(values)] = False
+        present = _present(block)
         paid = present & np.fromiter(map(card.__contains__, column["payment_type"]), dtype=bool, count=n)
         alive = paid.tolist()
         pickup = _pickup_buckets(list(itertools.compress(column["pickup_datetime"], alive)), dates)
@@ -383,8 +377,8 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
     cuts, order statistics of all the retained distances, are read off the
     cumulative counts of the distinct distances; and each scan's codes are
     finished in place (so the scans are changed), its dist labels looked up
-    from those of its distinct distances, and counted before the per-scan
-    (code, count) pairs are added up.
+    from those of its distinct distances, and counted into a histogram of
+    its own, which histogram.merge adds to those of the scans before it.
     """
     stats = _checked(IngestStats(*map(sum, zip(*(astuple(scan.stats) for scan in scans)))), "taxi")
     drivers: dict[str, int] = {}
@@ -400,18 +394,13 @@ def _taxi_result(scans: Sequence[_TaxiScan], schema: AttributeSchema) -> IngestR
         rows[at] += np.bincount(scan.distance, minlength=len(at))  # a scan lists each of its distances once
     below = np.cumsum(rows)  # the rows at or below each distinct distance
     cuts = values[np.searchsorted(below, [math.ceil(stats.retained / 3), math.ceil(2 * stats.retained / 3)])]
-    parts = []
     for scan, at in zip(scans, ids):
         codes = scan.codes
         codes += frequency[at].astype(codes.dtype)[scan.driver]
         dist = np.searchsorted(cuts, scan.distances) * schema.strides[5]  # the cuts below: low, medium, high
         codes += dist.astype(codes.dtype)[scan.distance]
-        parts.append(np.unique(codes, return_counts=True))
-    codes, counts = map(np.concatenate, zip(*parts))
-    codes, inverse = np.unique(codes, return_inverse=True)
-    total = np.zeros(len(codes), dtype=np.int64)
-    np.add.at(total, inverse, counts)
-    return IngestResult(Histogram.from_codes(schema, codes, total), stats)
+    counted = (Histogram.from_codes(schema, *np.unique(scan.codes, return_counts=True)) for scan in scans)
+    return IngestResult(functools.reduce(merge, counted), stats)  # one scan's histogram at a time
 
 
 def taxi_preprocess(records: Iterable[Mapping[str, str]] | str | os.PathLike, config: TaxiConfig) -> IngestResult:
@@ -492,11 +481,14 @@ def bike_preprocess(
 
     trips and riders are each the path of a UTF-8 CSV or an iterable of
     mappings, read as by taxi_preprocess, a path's byte ranges one after
-    another in this process.  A rider row missing a field is
-    skipped; a later row of a rider id replaces an earlier one.  Trips whose
-    rider id is absent from the survey are dropped and counted.  If some
-    company's joined gender column is a single constant value, a data-quality
-    warning is emitted (a symptom of per-company default values upstream).
+    another in this process, and trips checked a block at a time in numpy.
+    A rider row missing a field is skipped; a later row of a rider id
+    replaces an earlier one.  A trip missing a field, then one whose rider
+    id the survey lacks, then one malformed (time_bucket rejects its time or
+    a label is outside its domain) is counted and dropped.  If some
+    company's joined gender column is a single constant value, a
+    data-quality warning is emitted (a symptom of per-company default values
+    upstream).
     """
     schema = AttributeSchema(
         (
@@ -514,29 +506,26 @@ def bike_preprocess(
         survey.update((rider, answers) for rider, *answers in zip(*block) if rider and all(answers))
 
     trip_names = [config.trip_columns[role] for role in ("rider_id", "start", "end", "time", "company")]
-    domains = [set(domain) for domain in schema.domains]
     rows = dropped_missing = dropped_filtered = 0
-    keys = []
+    dates: dict[int, bool] = {}
+    kept = []  # per block, the codes of its retained trips
     for block in itertools.chain.from_iterable(block_ranges(trips, trip_names)):
+        present = _present(block).tolist()
+        rider, start, end, time, company = (list(itertools.compress(values, present)) for values in block)
+        answers = map(survey.get, rider, itertools.repeat((None, None)))  # None for a rider the survey lacks
+        helmet, gender = zip(*answers) if rider else ((), ())
+        when = _TIME_LABELS[_pickup_buckets(time, dates)]
+        codes = schema.encode_columns([start, end, when, helmet, company, gender], len(rider))
+        kept.append(codes[codes >= 0])  # -1: a label outside its domain (None: no answers, or a rejected time)
         rows += len(block[0])
-        for rider, start, end, time, company in zip(*block):
-            if not (rider and start and end and time and company):
-                dropped_missing += 1
-            elif rider not in survey:
-                dropped_filtered += 1
-            else:
-                helmet, gender = survey[rider]
-                try:
-                    key = (start, end, time_bucket(time), helmet, company, gender)
-                except DataError:
-                    continue  # malformed
-                if all(map(operator.contains, domains, key)):
-                    keys.append(key)
-    malformed = rows - len(keys) - dropped_missing - dropped_filtered
-    stats = _checked(IngestStats(rows, len(keys), dropped_missing, dropped_filtered, malformed), "bike")
-    histogram = Histogram.from_codes(schema, *np.unique(schema.encode(keys), return_counts=True))
+        dropped_missing += len(block[0]) - len(rider)
+        dropped_filtered += helmet.count(None)
+    codes = _joined(kept, np.int64)
+    malformed = rows - len(codes) - dropped_missing - dropped_filtered
+    stats = _checked(IngestStats(rows, len(codes), dropped_missing, dropped_filtered, malformed), "bike")
+    histogram = Histogram.from_codes(schema, *np.unique(codes, return_counts=True))
 
-    pairs = sorted({key[4:] for key in histogram.keys()})  # each (company, gender) of a retained trip
+    pairs = sorted(group_by(histogram, ("company", "gender")).keys())  # each (company, gender) of a retained trip
     companies = [company for company, _ in pairs]
     warn_messages = tuple(
         f"company {company!r} reports a single constant gender value ({gender!r}); "

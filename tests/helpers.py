@@ -51,6 +51,22 @@ def assert_no_child_left():
     raise AssertionError("a child process is left")
 
 
+def encode_per_key(schema, keys):
+    """AttributeSchema.encode one key at a time: a list of label positions
+    per key by dict lookups, then validate_key over every key if any lookup
+    or key length failed."""
+    keys, indexes = list(keys), schema._label_indexes
+    try:  # one dict lookup per label; validate_key names the first fault
+        positions = [[labels[label] for label, labels in zip(key, indexes)] for key in keys]
+        valid = not set(map(len, keys)) - {len(indexes)}
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        for key in keys:
+            schema.validate_key(key)
+    return np.array(positions, dtype=np.int64).reshape(-1, len(schema.names)) @ schema.strides
+
+
 def read_histogram_csv_per_row(path, schema):
     """read_histogram_csv by one csv.reader over the whole decoded file, a
     row at a time, every key and count kept until the last row is read."""

@@ -516,6 +516,44 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def wide_measure_argv(tmp_path, buckets=320):
+    """measure of a histogram against itself with enough buckets that its bootstrap forks workers."""
+    assert buckets >= metrics._MIN_FORK_BUCKETS
+    schema = AttributeSchema((("item", tuple(f"i{j:03d}" for j in range(buckets))),))
+    schema.save(tmp_path / "schema.json")
+    h = Histogram.from_codes(schema, np.arange(buckets), np.arange(buckets) % 7 + 1)
+    write_histogram_csv(h, tmp_path / "h.csv")
+    return ["measure", *[str(tmp_path / "h.csv")] * 2, "--schema", str(tmp_path / "schema.json"), "--replicates", "4"]
+
+
+class TestResourceFaults:
+    """A fault of the machine rather than of the input exits 2 with one `resource error:` line."""
+
+    def ended(self, argv, out, capfd):
+        code = main([*argv, "--out", str(out)])
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        assert_no_child_left()
+        return code, err.splitlines()
+
+    def test_a_worker_that_dies_is_a_resource_error(self, tmp_path, monkeypatch, capfd):
+        argv = wide_measure_argv(tmp_path)
+        monkeypatch.setattr(parallel, "cpus_available", lambda: 2)
+        caller, kernel = os.getpid(), metrics._pwkt_from_vectors
+        monkeypatch.setattr(metrics, "_pwkt_from_vectors",
+                            lambda *args: kernel(*args) if os.getpid() == caller else os._exit(1))
+        assert self.ended(argv, tmp_path / "out", capfd) == (
+            2, ["resource error: the worker running chunk 2 of 2 exited with code 1"])
+
+    def test_running_out_of_memory_is_a_resource_error(self, tmp_path, monkeypatch, capfd):
+        def read(*args):
+            raise MemoryError
+
+        argv = measure_argv(tmp_path)
+        monkeypatch.setattr(cli, "read_histogram_csv", read)
+        assert self.ended(argv, tmp_path / "out", capfd) == (2, ["resource error: out of memory"])
+
+
 def synth_command_argv(tmp_path, config):
     """A synth command on the given config."""
     (tmp_path / "synth.json").write_text(json.dumps(config))

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from odrelease import (
     support_union,
     write_histogram_csv,
 )
+import odrelease
 from odrelease import TaxiConfig, csvio, ingest
 from odrelease.histogram import align
 from helpers import align_union1d
@@ -50,6 +53,28 @@ def two_attr_schema():
 
 def worked_histogram():
     return Histogram(two_attr_schema(), {("a", "0"): 3, ("a", "1"): 1, ("b", "0"): 1, ("b", "1"): 3})
+
+
+def label_index_reads(tree: ast.AST) -> list[int]:
+    """The lines that read AttributeSchema._label_indexes, as an attribute
+    or by its name, in getattr say."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_label_indexes"
+                  or isinstance(node, ast.Constant) and node.value == "_label_indexes")
+
+
+def test_only_the_histogram_module_reads_label_indexes():
+    """encode_columns is the one encoder of labels, so no other module turns labels into positions."""
+    src = Path(odrelease.__file__).parent
+    reads = {path.name: label_index_reads(ast.parse(path.read_text(encoding="utf8"))) for path in src.glob("*.py")}
+    assert reads["histogram.py"]  # the scan sees the reads it allows
+    assert {name: lines for name, lines in reads.items() if lines and name != "histogram.py"} == {}
+
+
+def test_the_label_index_scan_finds_each_kind_of_read():
+    source = ('s._label_indexes\ngetattr(s, "_label_indexes")\nx = s.schema._label_indexes[0]\n'
+              's.label_indexes\ndef _label_indexes(self):\n    return "label_indexes"\n')
+    assert label_index_reads(ast.parse(source)) == [1, 2, 3]
 
 
 class TestSchema:

@@ -60,6 +60,7 @@ from helpers import (
     align_union1d,
     bike_preprocess_per_row,
     cmi_object,
+    encode_per_key,
     kl_object,
     label_positions_broadcast,
     largest_remainder_repair,
@@ -422,6 +423,50 @@ def test_a_histogram_csv_reads_like_the_per_row_reader(data, chunk_bytes, block_
         finally:
             csv.field_size_limit(limit)
     assert got == want
+
+
+ENCODE_LABELS = ["", " ", "a", " a", "a b", ",", "a,b", "é", "日本", "v0"]
+
+
+@st.composite
+def keyed_schemas(draw):
+    """A schema of 1-4 attributes over ENCODE_LABELS and a list of keys,
+    maybe empty: most in the schema, some with labels outside their domain
+    and some a label short or long."""
+    domains = draw(st.lists(st.lists(st.sampled_from(ENCODE_LABELS), min_size=1, max_size=4, unique=True),
+                            min_size=1, max_size=4))
+    schema = AttributeSchema(tuple((f"a{i}", tuple(domain)) for i, domain in enumerate(domains)))
+    keys = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = [draw(st.sampled_from(domain if draw(st.integers(0, 4)) else ENCODE_LABELS + ["zz"]))
+               for domain in domains]
+        shape = draw(st.sampled_from(["key"] * 6 + ["short", "long"]))
+        keys.append(tuple({"key": key, "short": key[:-1], "long": [*key, draw(st.sampled_from(ENCODE_LABELS))]}[shape]))
+    return schema, keys
+
+
+def encode_outcome(encode, keys):
+    """The codes encode gives keys, or the type and message of the error it raised."""
+    try:
+        return encode(keys).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@property_settings
+@given(keyed_schemas())
+def test_encode_and_encode_columns_equal_the_per_key_oracle(case):
+    schema, keys = case
+    assert encode_outcome(schema.encode, keys) == encode_outcome(lambda k: encode_per_key(schema, k), keys)
+    full = [key for key in keys if len(key) == len(schema.names)]
+    want = []
+    for key in full:
+        try:
+            want.append(int(encode_per_key(schema, [schema.validate_key(key)])[0]))
+        except SchemaError:
+            want.append(-1)
+    columns = [list(column) for column in zip(*full)] or [[] for _ in schema.names]
+    assert schema.encode_columns(columns, len(full)).tolist() == want
 
 
 @property_settings
