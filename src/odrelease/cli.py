@@ -25,20 +25,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import file_path, finite, flag, labels, load_json, mapping, whole
-from .csvio import text_chunks
+from .config import file_path, finite, flag, load_json, mapping, whole
 from .errors import ConfigError, DataError
 from .histogram import AttributeSchema, Histogram, read_histogram_csv, write_histogram_csv
-from .ingest import (
-    BikeConfig,
-    IngestResult,
-    SynthConfig,
-    TaxiConfig,
-    bike_preprocess,
-    synth_generate,
-    synthetic_od_seed,
-    taxi_preprocess,
-)
+from .ingest import BikeConfig, IngestResult, SynthConfig, TaxiConfig, bike_preprocess, synth_generate, taxi_preprocess
 from .metrics import DistanceReport, bootstrap_distances, build_distance_report, distance_report, pair_distances
 from .parallel import forked_map
 from .privacy import PrivacyParams, ReleaseResult, privatize
@@ -60,8 +50,6 @@ ORDERS = tuple(STAGES)
 PIPELINE_KEYS = ("input", "schema", "synth", "ingest", "repair", "privacy", "order", "bootstrap", "seed",
                  "empty_release_ok")
 PRIVACY_KEYS = ("epsilon", "rho", "n")
-SYNTH_KEYS = ("generate_od", "od_seed", "od_schema", "trips", "mode", "rating_distribution",
-              "rating_distributions", "seed", "gender_domain", "rating_domain")
 
 
 def _write_outputs(out_dir, files: Mapping[str, object]) -> None:
@@ -99,18 +87,6 @@ def _parse_privacy(obj, keys=PRIVACY_KEYS) -> dict:
         "rho": finite(obj.get("rho"), "privacy.rho"),
         "n": None if obj.get("n") is None else whole(obj["n"], "privacy.n"),
     }
-
-
-def _parse_repair(obj) -> RepairSpec:
-    """The x, y and z of a repair spec (release, sweep and repair), checked and typed.
-
-    Attribute names are checked against a schema only once the input has
-    loaded, so an unknown name stays a data error.
-    """
-    obj = mapping(obj, "repair", ("x", "y", "z"))
-    z = labels(obj.get("z", []), "repair.z", empty=True)
-    x, y, *_ = labels([obj.get("x"), obj.get("y"), *z], "repair x, y and z")  # RepairSpec's rule, as a ConfigError
-    return RepairSpec(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -166,7 +142,7 @@ class PipelineConfig:
             input_path=file_path(obj["input"], "input", base_dir) if "input" in given else None,
             synth=mapping(obj["synth"], "synth") if "synth" in given else None,
             ingest=mapping(obj["ingest"], "ingest") if "ingest" in given else None,
-            repair_spec=_parse_repair(obj["repair"]) if "repair" in given else None,
+            repair_spec=RepairSpec.from_json_obj(obj["repair"]) if "repair" in given else None,
             privacy=_parse_privacy(obj["privacy"]) if "privacy" in given else None,
             order=order,
             replicates=replicates,
@@ -180,33 +156,6 @@ class PipelineConfig:
         return cls.from_json_obj(load_json(path), base_dir=Path(path).parent)
 
 
-_GENERATE_OD = {"n_neighborhoods": whole, "n_pairs": whole, "total": whole, "seed": whole, "skew": finite,
-                "uniform_mix": finite}  # the synthetic_od_seed parameters, with their readers
-
-
-def _build_synth_config(obj: Mapping, base_dir: Path | str | None = None) -> SynthConfig:
-    obj = mapping(obj, "synth", SYNTH_KEYS)
-    if obj.get("generate_od") is not None:
-        generate = mapping(obj["generate_od"], "synth.generate_od", tuple(_GENERATE_OD))
-        od = synthetic_od_seed(**{key: _GENERATE_OD[key](value, f"synth.generate_od.{key}")
-                                  for key, value in generate.items()})
-    elif obj.get("od_seed") is not None:
-        od_schema = file_path(obj.get("od_schema"), "synth.od_schema", base_dir)
-        od = read_histogram_csv(file_path(obj["od_seed"], "synth.od_seed", base_dir),
-                                AttributeSchema.load(od_schema))
-    else:
-        raise ConfigError("synth config needs od_seed or generate_od")
-    domains = {key: labels(obj[key], f"synth.{key}") for key in ("gender_domain", "rating_domain") if key in obj}
-    return SynthConfig(
-        od_seed=od,
-        trips=whole(obj.get("trips"), "synth.trips"),
-        mode=obj.get("mode", "uncorrelated"),
-        rating_distributions=obj.get("rating_distribution", obj.get("rating_distributions")),
-        seed=whole(obj.get("seed", 0), "synth.seed"),
-        **domains,
-    )
-
-
 def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResult:
     kind = mapping(obj, "ingest").get("kind")
     if kind not in ("taxi", "bike"):
@@ -215,14 +164,9 @@ def _run_ingest(obj: Mapping, base_dir: Path | str | None = None) -> IngestResul
     if kind == "taxi":
         return taxi_preprocess(trips_path, TaxiConfig.from_json_obj(obj))
     riders_path = file_path(obj.get("riders_csv"), "bike.riders_csv", base_dir)
-    if "neighborhoods_file" in obj:
-        if "neighborhoods" in obj:
-            raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
-        listed = "".join(text_chunks(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
-        obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # each is printed once below, as `warning: ...`
-        result = bike_preprocess(trips_path, riders_path, BikeConfig.from_json_obj(obj))
+        result = bike_preprocess(trips_path, riders_path, BikeConfig.from_json_obj(obj, base_dir))
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return result
@@ -232,7 +176,7 @@ def _load_pipeline_input(cfg: PipelineConfig) -> Histogram:
     if cfg.input_path is not None:
         return read_histogram_csv(cfg.input_path, AttributeSchema.load(cfg.schema_path))
     if cfg.synth is not None:
-        return synth_generate(_build_synth_config(cfg.synth, cfg.base_dir))
+        return synth_generate(SynthConfig.from_json_obj(cfg.synth, cfg.base_dir))
     return _run_ingest(cfg.ingest, cfg.base_dir).histogram
 
 
@@ -409,13 +353,13 @@ def _cmd_synth(args) -> int:
     obj = mapping(load_json(args.config), "synth")
     if args.seed is not None:
         obj = {**obj, "seed": args.seed}
-    h = synth_generate(_build_synth_config(obj, base_dir=Path(args.config).parent))
+    h = synth_generate(SynthConfig.from_json_obj(obj, base_dir=Path(args.config).parent))
     _write_outputs(args.out, {"schema.json": h.schema, "histogram.csv": h})
     return 0
 
 
 def _cmd_repair(args) -> int:
-    spec = _parse_repair(load_json(args.config))
+    spec = RepairSpec.from_json_obj(load_json(args.config))
     h = read_histogram_csv(args.input, AttributeSchema.load(args.schema))
     result = repair(h, spec, rounding=args.rounding)
     _write_outputs(args.out, {"repaired.csv": result.rounded, "fractional.csv": result.fractional,

@@ -38,15 +38,18 @@ def numbers(value, what: str) -> tuple[float, ...]:
 
 
 def labels(value, what: str, empty: bool = False) -> tuple[str, ...]:
-    """value as a tuple, when it is a list of distinct strings that is non-empty unless `empty`."""
+    """value as a tuple, when it is a list of distinct strings, none holding a NUL, non-empty unless `empty`."""
     ok = isinstance(value, list) and all(isinstance(v, str) for v in value) and len(set(value)) == len(value)
     expected = "a list of distinct strings" if empty else "a non-empty list of distinct strings"
-    return tuple(_expect(ok and (empty or value), value, what, expected))
+    _expect(ok and (empty or value), value, what, expected)
+    return tuple(_expect(not any("\0" in v for v in value), value, what, f"{expected} with no NUL character"))
 
 
 def file_path(value, what: str, base_dir=None) -> str:
-    """value, when it is a non-empty string, as a path; a relative one is taken from base_dir when given."""
-    return str(Path(base_dir or "") / _expect(isinstance(value, str) and value, value, what, "a non-empty string"))
+    """value, when it is a non-empty string with no NUL, as a path; a relative one is taken from base_dir when given."""
+    _expect(isinstance(value, str) and value, value, what, "a non-empty string")
+    _expect("\0" not in value, value, what, "a non-empty string with no NUL character")
+    return str(Path(base_dir or "") / value)
 
 
 def text_map(value, what: str, keys=None) -> dict[str, str]:

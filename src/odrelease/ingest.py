@@ -18,10 +18,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import finite, labels, mapping, numbers, text_map, whole
-from .csvio import Blocks, block_ranges
+from .config import file_path, finite, labels, mapping, numbers, text_map, whole
+from .csvio import Blocks, block_ranges, text_chunks
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
-from .histogram import AttributeSchema, Histogram, group_by, merge
+from .histogram import AttributeSchema, Histogram, group_by, merge, read_histogram_csv
 from .parallel import forked_map
 from .rng import substream
 
@@ -183,7 +183,7 @@ class TaxiConfig:
 _NUMBER_ROLES = (
     "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat", "trip_distance", "fare_amount", "tip_amount",
 )
-# The one time form decoded in numpy; 0 marks an ASCII digit.
+# The one time form decoded in numpy; 0 marks an ASCII digit, and the space (at 10) may also be a T.
 _STRICT_TIME = np.frombuffer(b"0000-00-00 00:00:00", dtype=np.uint8)
 _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # year, month, day, hour, minute, second
 _HOUR_BUCKETS = np.array([TIME_BUCKETS.index(time_bucket(_dt.time(h))) for h in range(24)])
@@ -193,19 +193,21 @@ _TIME_LABELS = np.array([*TIME_BUCKETS, None], dtype=object)  # by TIME_BUCKETS 
 def _pickup_buckets(times: list[str], dates: dict[int, bool]) -> np.ndarray:
     """TIME_BUCKETS position of each time, -1 where time_bucket rejects it.
 
-    The strict form YYYY-MM-DD HH:MM:SS in ASCII digits, with fields in range
-    and a valid date, is decoded in numpy; every other form goes through
-    time_bucket.  `dates` holds the validity of each date seen so far.
+    The strict form YYYY-MM-DD HH:MM:SS in ASCII digits, or the same with T
+    for the space (datetime.fromisoformat reads both alike), with fields in
+    range and a valid date, is decoded in numpy; every other form goes
+    through time_bucket.  `dates` holds the validity of each date seen so far.
     """
     out = np.full(len(times), -1, dtype=np.int8)
     strict = np.flatnonzero(np.fromiter(map(len, times), dtype=np.int64, count=len(times)) == len(_STRICT_TIME))
     text = "".join([times[i] for i in strict.tolist()]).encode("ascii", "replace")  # "?" for any other character
     chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(_STRICT_TIME))
     digits = chars - _STRICT_TIME[0]  # wraps below "0"
-    ok = np.where(_STRICT_TIME == _STRICT_TIME[0], digits <= 9, chars == _STRICT_TIME).all(axis=1)
+    ok = np.where(_STRICT_TIME == _STRICT_TIME[0], digits <= 9, chars == _STRICT_TIME)
+    ok[:, 10] |= chars[:, 10] == ord("T")
     fields = [digits[:, a:b].astype(np.int64) @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _TIME_FIELDS]
     year, month, day, hour, minute, second = fields
-    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    ok = ok.all(axis=1) & (hour < 24) & (minute < 60) & (second < 60)
     days, inverse = np.unique(np.where(ok, (year * 100 + month) * 100 + day, 0), return_inverse=True)
     for date in days.tolist():
         if date not in dates:
@@ -458,7 +460,13 @@ class BikeConfig:
     )
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "BikeConfig":
+    def from_json_obj(cls, obj: Mapping, base_dir=None) -> "BikeConfig":
+        """The bike config in obj; a relative neighborhoods_file is taken from base_dir."""
+        if "neighborhoods_file" in mapping(obj, "bike"):
+            if "neighborhoods" in obj:
+                raise ConfigError("bike: give neighborhoods or neighborhoods_file, not both")
+            listed = "".join(text_chunks(file_path(obj["neighborhoods_file"], "bike.neighborhoods_file", base_dir)))
+            obj = {**obj, "neighborhoods": [line.strip() for line in listed.splitlines() if line.strip()]}
         obj = mapping(obj, "bike", BIKE_KEYS)
         kwargs = {key: labels(obj[key], f"bike.{key}") for key in ("genders", "helmet_values") if key in obj}
         for key in ("trip_columns", "rider_columns"):
@@ -548,6 +556,45 @@ def _check_distribution(dist: Sequence[float], size: int, what: str) -> tuple[fl
     return dist
 
 
+def synthetic_od_seed(
+    n_neighborhoods: int = 90,
+    n_pairs: int = 200,
+    total: int = 50_000,
+    seed: int = 0,
+    skew: float = 0.7,
+    uniform_mix: float = 0.5,
+) -> Histogram:
+    """A skewed origin-destination histogram standing in for real trip data.
+
+    Draws n_pairs distinct OD pairs, gives them Zipf-like weights blended
+    with a uniform floor (so tail strata keep workable mass), and assigns
+    counts by one multinomial draw of `total` trips.
+    """
+    if n_neighborhoods * n_neighborhoods >= 2**63:  # a domain AttributeSchema refuses: fail before building labels
+        raise ConfigError(f"n_neighborhoods**2 must be below 2**63, got n_neighborhoods {n_neighborhoods}")
+    if not 1 <= n_pairs <= n_neighborhoods * n_neighborhoods:
+        raise ConfigError(f"n_pairs must be from 1 to n_neighborhoods**2, got {n_pairs}")
+    total = whole(total, "total")
+    hoods = tuple(f"n{i:02d}" for i in range(n_neighborhoods))
+    rng = substream(seed, "od-seed")
+    flat = rng.choice(n_neighborhoods * n_neighborhoods, size=n_pairs, replace=False)
+    with np.errstate(all="ignore"):  # a skew that overflows the weights is rejected below
+        zipf = np.power(np.arange(1, n_pairs + 1, dtype=float), -skew)
+        weights = uniform_mix / n_pairs + (1.0 - uniform_mix) * zipf / zipf.sum()
+    if not (0 <= uniform_mix <= 1 and np.isfinite(weights).all()):
+        raise ConfigError(f"uniform_mix {uniform_mix!r} is outside [0, 1] or skew {skew!r} overflows the weights")
+    draws = rng.multinomial(total, weights / weights.sum())
+
+    schema = AttributeSchema((("origin", hoods), ("destination", hoods)))
+    return Histogram.from_codes(schema, flat, draws)  # flat is the row-major code of each pair
+
+
+_GENERATE_OD = {"n_neighborhoods": whole, "n_pairs": whole, "total": whole, "seed": whole, "skew": finite,
+                "uniform_mix": finite}  # the synthetic_od_seed parameters, with their readers
+SYNTH_KEYS = ("generate_od", "od_seed", "od_schema", "trips", "mode", "rating_distribution",
+              "rating_distributions", "seed", "gender_domain", "rating_domain")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Synthetic ride-hailing generator settings.
@@ -591,6 +638,32 @@ class SynthConfig:
                 for g in self.gender_domain
             }
         object.__setattr__(self, "rating_distributions", checked)
+
+    @classmethod
+    def from_json_obj(cls, obj: Mapping, base_dir=None) -> "SynthConfig":
+        """The synth config in obj, its od_seed generated or read; relative paths are taken from base_dir."""
+        obj = mapping(obj, "synth", SYNTH_KEYS)
+        if "rating_distribution" in obj and "rating_distributions" in obj:
+            raise ConfigError("synth: give rating_distribution or rating_distributions, not both")
+        if obj.get("generate_od") is not None:
+            generate = mapping(obj["generate_od"], "synth.generate_od", tuple(_GENERATE_OD))
+            od = synthetic_od_seed(**{key: _GENERATE_OD[key](value, f"synth.generate_od.{key}")
+                                      for key, value in generate.items()})
+        elif obj.get("od_seed") is not None:
+            od_schema = file_path(obj.get("od_schema"), "synth.od_schema", base_dir)
+            od = read_histogram_csv(file_path(obj["od_seed"], "synth.od_seed", base_dir),
+                                    AttributeSchema.load(od_schema))
+        else:
+            raise ConfigError("synth config needs od_seed or generate_od")
+        domains = {key: labels(obj[key], f"synth.{key}") for key in ("gender_domain", "rating_domain") if key in obj}
+        return cls(
+            od_seed=od,
+            trips=whole(obj.get("trips"), "synth.trips"),
+            mode=obj.get("mode", "uncorrelated"),
+            rating_distributions=obj.get("rating_distribution", obj.get("rating_distributions")),
+            seed=whole(obj.get("seed", 0), "synth.seed"),
+            **domains,
+        )
 
 
 # The doubles _draw takes from its generator at a time: its peak memory
@@ -670,36 +743,3 @@ def synth_generate(cfg: SynthConfig) -> Histogram:
     codes += rating_idx
     del od_idx, gender_idx, rating_idx  # freed before np.unique sorts a copy of codes
     return Histogram.from_codes(schema, *np.unique(codes, return_counts=True))
-
-
-def synthetic_od_seed(
-    n_neighborhoods: int = 90,
-    n_pairs: int = 200,
-    total: int = 50_000,
-    seed: int = 0,
-    skew: float = 0.7,
-    uniform_mix: float = 0.5,
-) -> Histogram:
-    """A skewed origin-destination histogram standing in for real trip data.
-
-    Draws n_pairs distinct OD pairs, gives them Zipf-like weights blended
-    with a uniform floor (so tail strata keep workable mass), and assigns
-    counts by one multinomial draw of `total` trips.
-    """
-    if n_neighborhoods * n_neighborhoods >= 2**63:  # a domain AttributeSchema refuses: fail before building labels
-        raise ConfigError(f"n_neighborhoods**2 must be below 2**63, got n_neighborhoods {n_neighborhoods}")
-    if not 1 <= n_pairs <= n_neighborhoods * n_neighborhoods:
-        raise ConfigError(f"n_pairs must be from 1 to n_neighborhoods**2, got {n_pairs}")
-    total = whole(total, "total")
-    hoods = tuple(f"n{i:02d}" for i in range(n_neighborhoods))
-    rng = substream(seed, "od-seed")
-    flat = rng.choice(n_neighborhoods * n_neighborhoods, size=n_pairs, replace=False)
-    with np.errstate(all="ignore"):  # a skew that overflows the weights is rejected below
-        zipf = np.power(np.arange(1, n_pairs + 1, dtype=float), -skew)
-        weights = uniform_mix / n_pairs + (1.0 - uniform_mix) * zipf / zipf.sum()
-    if not (0 <= uniform_mix <= 1 and np.isfinite(weights).all()):
-        raise ConfigError(f"uniform_mix {uniform_mix!r} is outside [0, 1] or skew {skew!r} overflows the weights")
-    draws = rng.multinomial(total, weights / weights.sum())
-
-    schema = AttributeSchema((("origin", hoods), ("destination", hoods)))
-    return Histogram.from_codes(schema, flat, draws)  # flat is the row-major code of each pair

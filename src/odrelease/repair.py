@@ -32,12 +32,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import labels, mapping
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .histogram import _INT64_LIMIT, AttributeSchema, Groups, Histogram, _exact_sum, bucket_groups, check_same_schema
 from .histogram import marginalize  # noqa: F401  odbench/tracer.py wraps repair.marginalize
 from .rng import substream
 
 ROUNDING_MODES = ("largest_remainder", "half_even")
+REPAIR_KEYS = ("x", "y", "z")
 
 # Below this, float64 holds every integer exactly.
 _EXACT_INTEGERS = 2.0**53
@@ -74,6 +76,15 @@ class RepairSpec:
 
     def to_json_obj(self) -> dict:
         return {"x": self.x, "y": self.y, "z": list(self.z)}
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "RepairSpec":
+        """The spec of a repair config (release, sweep and repair), checked and typed.  Attribute names are
+        checked against a schema only once the input has loaded, so an unknown name stays a data error."""
+        obj = mapping(obj, "repair", REPAIR_KEYS)
+        z = labels(obj.get("z", []), "repair.z", empty=True)
+        x, y, *_ = labels([obj.get("x"), obj.get("y"), *z], "repair x, y and z")  # __post_init__'s rule, as ConfigError
+        return cls(x, y, z)
 
 
 @dataclass(frozen=True)

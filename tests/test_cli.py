@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -473,6 +476,16 @@ MALFORMED_INPUTS = {
         t / "nhoods.txt", bike_file_ingest_argv(t), "Fremont\n", "Fremont\nQueen\x00Anne\n"), 3),
     "schema-label-nul": (lambda t: with_replaced(
         t / "schema.json", privatize_argv(t, {"epsilon": 5.0, "rho": 0.9}), '"o3"', '"o3", "o\\u00003"'), 3),
+    "synth-both-rating-distributions": (lambda t: synth_command_argv(t, {
+        "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100,
+        "rating_distribution": [0.2] * 5, "rating_distributions": [1, 0, 0, 0, 0]}), 2),
+    "synth-gender-domain-label-nul": (lambda t: synth_argv(t, gender_domain=["m", "f\0"]), 2),
+    "bike-neighborhoods-label-nul": (lambda t: bike_ingest_argv(t, neighborhoods=["Ballard", "Fremont", "Q\0A"]), 2),
+    "taxi-card-values-label-nul": (lambda t: taxi_config_argv(t, card_values=["CRD", "C\0"]), 2),
+    "repair-name-nul": (lambda t: repair_argv(t, {"x": "gender\0", "y": "rating"}), 2),
+    "repair-z-name-nul": (lambda t: release_argv(t, repair={"x": "gender", "y": "rating", "z": ["\0"]}), 2),
+    "input-path-nul": (lambda t: release_argv(t, input="input.csv\0"), 2),
+    "taxi-trips-csv-path-nul": (lambda t: taxi_ingest_argv(t, trips_csv="trips\0.csv"), 2),
 }
 
 
@@ -570,13 +583,22 @@ def bike_file_ingest_argv(tmp_path):
     return argv
 
 
+def od_seed_synth_argv(tmp_path):
+    """A synth command whose od_seed is read from a histogram file."""
+    schema = AttributeSchema((("origin", ("a", "b")), ("destination", ("a", "b"))))
+    schema.save(tmp_path / "od_schema.json")
+    write_histogram_csv(Histogram(schema, {("a", "b"): 3, ("b", "a"): 1}), tmp_path / "od.csv")
+    return synth_command_argv(tmp_path, {"od_seed": "od.csv", "od_schema": "od_schema.json", "trips": 50, "seed": 5})
+
+
 # One example of each config, with most optional fields spelled out.
 FUZZ_EXAMPLES = {
     "pipeline": lambda t: release_argv(t, order="privacy-first", empty_release_ok=False, bootstrap={"replicates": 2},
                                        privacy={"epsilon": 2.0, "rho": 0.9, "n": 40}),
-    "pipeline-synth": lambda t: synth_argv(t, generate_od={"n_neighborhoods": 4, "n_pairs": 3, "total": 500,
-                                                           "seed": 2, "skew": 0.7, "uniform_mix": 0.5},
-                                           mode="uncorrelated", rating_distribution=[0.2] * 5, seed=1),
+    "pipeline-synth": lambda t: release_argv(t, input=None, schema=None, bootstrap={"replicates": 2}, synth={
+        "generate_od": {"n_neighborhoods": 4, "n_pairs": 3, "total": 500, "seed": 2, "skew": 0.7, "uniform_mix": 0.5},
+        "trips": 100, "mode": "uncorrelated", "rating_distribution": [0.2] * 5, "seed": 1,
+        "gender_domain": ["m", "f"], "rating_domain": ["1", "2", "3", "4", "5"]}),
     "synth": lambda t: synth_command_argv(t, {
         "generate_od": {"n_neighborhoods": 4, "n_pairs": 3}, "trips": 100, "mode": "correlated", "seed": 4,
         "gender_domain": ["m", "f"], "rating_domain": ["1", "2"],
@@ -587,6 +609,7 @@ FUZZ_EXAMPLES = {
     "bike": lambda t: bike_ingest_argv(t, genders=["male", "female", "other"], helmet_values=["yes", "no"],
                                        trip_columns={"time": "start_time"}, rider_columns={"helmet": "helmet"}),
     "bike-file": bike_file_ingest_argv,
+    "synth-od-seed": od_seed_synth_argv,
     "privatize": lambda t: privatize_argv(t, {"epsilon": 5.0, "rho": 0.9, "n": 40, "seed": 3}),
     "repair": lambda t: repair_argv(t, {"x": "gender", "y": "rating", "z": ["origin"]}),
 }
@@ -623,6 +646,113 @@ def test_any_one_malformed_config_field_exits_with_a_code(example, data):
         assert code in (0, 2, 3, 4)
         if code == 2:
             assert not out.exists()
+
+
+# The README value type of each config field, by its key; `?` marks a field that may be null.
+FIELD_TYPES = {
+    "input": "path?", "schema": "path?", "synth": "object?", "ingest": "object?", "repair": "object?",
+    "privacy": "object?", "order": "choice?", "bootstrap": "object", "replicates": "whole", "seed": "whole",
+    "empty_release_ok": "flag",
+    "epsilon": "number", "rho": "number", "n": "whole?",
+    "x": "label", "y": "label", "z": "names",
+    "generate_od": "object", "od_seed": "path", "od_schema": "path", "trips": "whole", "mode": "choice",
+    "gender_domain": "labels", "rating_domain": "labels", "rating_distribution": "numbers?",
+    "rating_distributions": "per-gender?",
+    "n_neighborhoods": "whole", "n_pairs": "whole", "total": "whole", "skew": "number", "uniform_mix": "number",
+    "kind": "choice", "trips_csv": "path", "riders_csv": "path", "columns": "columns", "bbox": "bbox",
+    "lon_min": "number", "lon_max": "number", "lat_min": "number", "lat_max": "number", "card_values": "labels",
+    "tip_threshold": "number", "neighborhoods": "labels", "neighborhoods_file": "path", "companies": "labels",
+    "genders": "labels", "helmet_values": "labels", "trip_columns": "columns", "rider_columns": "columns",
+}
+# The type of each item of a list or object of these types; any other object's fields go by FIELD_TYPES.
+ITEM_TYPES = {"labels": "label", "names": "label", "numbers": "number", "columns": "string", "per-gender": "numbers"}
+OUT_OF_TYPE_VALUES = (None, True, -1, 2.5, math.nan, "", "\0", [], {}, ["a", "a"], ["\0"])
+# Of those values, the ones each type admits; a `?` type also admits null.
+IN_TYPE = {
+    "whole": (), "number": (-1, 2.5), "flag": (True,), "label": ("",), "string": ("", "\0"), "choice": (),
+    "path": (), "labels": (), "names": ([],), "numbers": (), "columns": ({},), "object": ({},), "bbox": ({},),
+    "per-gender": (),
+}
+
+
+def field_type(path):
+    """The README value type of the config field at path (keys and list positions, outermost first)."""
+    kind = "object"
+    for key in path:
+        parent = kind.rstrip("?")
+        kind = ITEM_TYPES.get(parent) or ("number" if isinstance(key, int) else FIELD_TYPES[key])
+    return kind
+
+
+def test_every_example_field_has_a_readme_type():
+    for example in FUZZ_EXAMPLES.values():
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = example(Path(tmp))
+            config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
+        assert all(field_type(path).rstrip("?") in IN_TYPE for path in json_paths(config))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_EXAMPLES)), st.data())
+def test_a_field_given_a_value_outside_its_type_is_a_config_error(example, data):
+    """One config field, of any config object, given a JSON value its README type excludes exits 2 with one
+    `config error:` line and makes no --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        argv = FUZZ_EXAMPLES[example](tmp_path)
+        config_path = Path(argv[argv.index("--config") + 1])
+        config = json.loads(config_path.read_text())
+        path = data.draw(st.sampled_from(list(json_paths(config))), label="path")
+        kind = field_type(path)
+        admitted = IN_TYPE[kind.rstrip("?")] + ((None,) if kind.endswith("?") else ())
+        excluded = [v for v in OUT_OF_TYPE_VALUES if json.dumps(v) not in map(json.dumps, admitted)]
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from(excluded), label="value")
+        config_path.write_text(json.dumps(config))
+        out, stderr = tmp_path / "out", io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        lines = stderr.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error:"), stderr.getvalue()
+        assert not out.exists()
+
+
+# Each config key tuple (or table), by the module that defines it and the reader of its object.
+CONFIG_KEY_TUPLES = {
+    "PIPELINE_KEYS": ("cli", "PipelineConfig.from_json_obj"),
+    "PRIVACY_KEYS": ("cli", "_parse_privacy"),
+    "SYNTH_KEYS": ("ingest", "SynthConfig.from_json_obj"),
+    "_GENERATE_OD": ("ingest", "SynthConfig.from_json_obj"),
+    "TAXI_KEYS": ("ingest", "TaxiConfig.from_json_obj"),
+    "_BBOX_KEYS": ("ingest", "TaxiConfig.from_json_obj"),
+    "BIKE_KEYS": ("ingest", "BikeConfig.from_json_obj"),
+    "REPAIR_KEYS": ("repair", "RepairSpec.from_json_obj"),
+}
+
+
+def test_each_config_key_tuple_is_defined_once_in_the_module_of_its_reader():
+    sources = Path(odrelease.__file__).parent.glob("*.py")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf8")) for path in sources}
+    defined = {module: {target.id for node in tree.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)} for module, tree in trees.items()}
+    for name, (module_name, reader_name) in CONFIG_KEY_TUPLES.items():
+        assert [module for module, names in defined.items() if name in names] == [module_name], name
+        reader = importlib.import_module(f"odrelease.{module_name}")
+        for attr in reader_name.split("."):
+            reader = getattr(reader, attr)
+        assert inspect.getmodule(reader).__name__ == f"odrelease.{module_name}"
+        assert name in inspect.getsource(reader), (name, reader_name)
+
+
+def test_every_config_key_is_in_the_readme_field_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf8")
+    fields = readme[readme.index("The fields, with defaults"):readme.index("`--epsilons` and `--rhos` must")]
+    for name, (module_name, _) in CONFIG_KEY_TUPLES.items():
+        keys = getattr(importlib.import_module(f"odrelease.{module_name}"), name)
+        assert [key for key in keys if f"`{key}`" not in fields] == [], name
+        assert set(keys) <= set(FIELD_TYPES), name
 
 
 # Bytes inserted by the input mutations below: NUL, CR, a quote, a BOM, a

@@ -665,9 +665,10 @@ def _decimal(lo, hi, halves):
 
 
 LON, LAT = _decimal(-74.3, -73.6, ["-73.95", "-74.05", "-73.65"]), _decimal(40.4, 41.0, ["40.75", "40.45"])
+SEPARATORS = st.sampled_from(" T")  # the two separators of the strict time form
 VALID_TIMES = st.builds(
-    "2013-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
-    st.integers(1, 12), st.integers(1, 28), st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+    "2013-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format,
+    st.integers(1, 12), st.integers(1, 28), SEPARATORS, st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
 )
 # Per field of the strict form: values out of range, or valid only in some months and years.
 STRICT_EDGES = ([0, 1900, 2012, 9999], [0, 2, 13], [0, 29, 30, 31, 32], [24, 25, 99], [60, 99], [60, 61, 99])
@@ -678,14 +679,14 @@ def strict_times_with_an_edge(draw):
     fields = [2013, draw(st.integers(1, 12)), draw(st.integers(1, 28))] + [draw(st.integers(0, 23)), 0, 0]
     at = draw(st.integers(0, len(fields) - 1))
     fields[at] = draw(st.sampled_from(STRICT_EDGES[at]))
-    return "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format(*fields)
+    return "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format(*fields[:3], draw(SEPARATORS), *fields[3:])
 
 
 # Forms other than the strict one, which time_bucket parses or rejects.
 OTHER_TIME_FORMS = [
-    "2013-01-11T08:15:00", "2013-01-11 08:15:00.5", "2013-01-11 08:15:00+05:00", "2013-01-11 19:00:00Z",
-    "2013-W02-5 08:15", "2013-01-11 \u0660\u0668:15:00", "\uff12013-01-11 08:15:00", "2013-01-11\u00a008:15:00",
-    "08:15", "17:30:00", "not-a-time", "2013-01-11 08:15:0?", "2013/01/11 08:15:00",
+    "2013-01-11t08:15:00", "2013-01-11T08:15:00Z", "2013-01-11 08:15:00.5", "2013-01-11 08:15:00+05:00",
+    "2013-01-11 19:00:00Z", "2013-W02-5 08:15", "2013-01-11 \u0660\u0668:15:00", "\uff12013-01-11 08:15:00",
+    "2013-01-11\u00a008:15:00", "08:15", "17:30:00", "not-a-time", "2013-01-11 08:15:0?", "2013/01/11 08:15:00",
 ]
 OTHER_TIMES = st.sampled_from(OTHER_TIME_FORMS)
 PICKUP_TIMES = st.one_of(VALID_TIMES, VALID_TIMES, VALID_TIMES, strict_times_with_an_edge(), OTHER_TIMES)
@@ -789,10 +790,10 @@ def _edge_times_csv():
     rows, between as many plain rows."""
     times = list(OTHER_TIME_FORMS)
     for year, at in itertools.product((1900, 2012, 2013), range(len(STRICT_EDGES))):  # only 2012-02-29 is a date
-        for edge in STRICT_EDGES[at]:
+        for edge, separator in itertools.product(STRICT_EDGES[at], " T"):
             fields = [year, 2, 28, 8, 15, 0]
             fields[at] = edge
-            times.append("{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format(*fields))
+            times.append("{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format(*fields[:3], separator, *fields[3:]))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(TAXI_HEADER)
